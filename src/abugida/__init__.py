@@ -6,9 +6,9 @@ conjunct-committing techniques and per-character keyboards are scored
 on the same footing.  See the module docstrings for the model:
 
 * :mod:`abugida.bengali`   classification, normalization, decomposition
-* :mod:`abugida.streams`   keystroke streams, replay, taxonomy
+* :mod:`abugida.streams`   keystroke streams and replay
 * :mod:`abugida.msd`       fractional-cost minimum string distance
-* :mod:`abugida.metrics`   WPM, KSPC, error rates, aggregation
+* :mod:`abugida.metrics`   WPM, KSPC, error rates, taxonomy, aggregation
 * :mod:`abugida.sessionio` log / profile / phrase-set / report formats
 * :mod:`abugida.cli`       the ``abugida`` command
 """
@@ -39,6 +39,7 @@ from .errors import (
     InvalidUnitError,
     ParseError,
     ReplayUnderflowError,
+    TranscriptionMismatchError,
     UnknownUnitError,
     UnsupportedKeyError,
     ZeroDurationError,
@@ -70,7 +71,6 @@ from .msd import (
     TechniqueProfile,
     align_symbols,
     atomic_unit_segment,
-    inf_from_alignment,
     msd,
 )
 from .sessionio import (
@@ -88,10 +88,8 @@ from .streams import (
     InputStream,
     KeyEvent,
     KeyEventKind,
-    KeystrokeTaxonomy,
     ReplayResult,
     build_input_stream,
-    classify_keystrokes,
     replay_events,
     replay_transcription,
     session_duration_s,

@@ -16,8 +16,7 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bengali import (
     BENGALI_TABLE,
@@ -26,11 +25,10 @@ from .bengali import (
     segment_graphemes,
     to_output_stream,
 )
-from .errors import AbugidaError, EncodingError, InvalidEncodingError, ParseError
+from .errors import AbugidaError, ParseError
 from .metrics import (
     DEFAULT_WORD_LENGTH_CHARS,
     MetricConfig,
-    SessionMetrics,
     aggregate,
     analyze_session,
     naive_metrics,
@@ -53,6 +51,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PROFILES = 2
 EXIT_MISMATCH = 3
+
+
+class _Exit(Exception):
+    """Ends a command with an exit code; the message goes to stderr."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _fail(message: str) -> None:
@@ -103,52 +109,36 @@ def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
     return profiles
 
 
-def _parse_log(path: str, table: CharTable) -> list[SessionRecord]:
-    records = parse_session_log(_read_file(path), table)
-    if not records:
-        raise ParseError(f"{path} contains no sessions")
-    return records
-
-
-def _unresolved(records: Sequence[SessionRecord],
-                profiles: dict[str, TechniqueProfile]) -> list[str]:
-    return sorted({r.technique_id for r in records} - set(profiles))
-
-
-def _map_sessions(fn: Callable[[SessionRecord], SessionMetrics],
-                  records: Sequence[SessionRecord],
-                  jobs: int) -> list[SessionMetrics]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, records))  # map preserves input order
-    return [fn(r) for r in records]
-
-
-def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> int:
+def _load_study(args: argparse.Namespace, table: CharTable
+                ) -> tuple[dict[str, TechniqueProfile], list[SessionRecord]]:
+    """Profiles and sessions of a log command, every technique resolved."""
     try:
         profiles = _load_profiles(args.profiles, table)
     except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_PROFILES
+        raise _Exit(EXIT_PROFILES, str(err)) from err
     try:
-        records = _parse_log(args.log, table)
+        records = parse_session_log(_read_file(args.log), table)
     except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
-    missing = _unresolved(records, profiles)
+        raise _Exit(EXIT_INPUT, str(err)) from err
+    if not records:
+        raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
+    missing = sorted({r.technique_id for r in records} - set(profiles))
     if missing:
-        _fail("no technique profile for: " + ", ".join(missing))
-        return EXIT_PROFILES
-    config = MetricConfig(word_length_chars=args.word_length,
-                          msd_cost_mode=CostMode(args.msd_cost_mode),
-                          table=table)
-    try:
-        results = _map_sessions(
-            lambda r: analyze_session(r, profiles[r.technique_id], config),
-            records, args.jobs)
-    except AbugidaError as err:
-        _fail(str(err))
-        return EXIT_INPUT
+        raise _Exit(EXIT_PROFILES, "no technique profile for: " + ", ".join(missing))
+    return profiles, records
+
+
+def _metric_config(args: argparse.Namespace, table: CharTable) -> MetricConfig:
+    return MetricConfig(word_length_chars=args.word_length,
+                        msd_cost_mode=CostMode(args.msd_cost_mode),
+                        table=table)
+
+
+def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> int:
+    profiles, records = _load_study(args, table)
+    config = _metric_config(args, table)
+    results = [analyze_session(r, profiles[r.technique_id], config)
+               for r in records]
     summaries = aggregate(results)
     _emit(write_analysis_report(
         summaries, results if args.per_session else None, args.format),
@@ -157,51 +147,26 @@ def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> int:
 
 
 def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> int:
-    try:
-        profiles = _load_profiles(args.profiles, table)
-    except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_PROFILES
-    try:
-        records = _parse_log(args.log, table)
-    except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
-    missing = _unresolved(records, profiles)
-    if missing:
-        _fail("no technique profile for: " + ", ".join(missing))
-        return EXIT_PROFILES
-    config = MetricConfig(word_length_chars=args.word_length,
-                          msd_cost_mode=CostMode(args.msd_cost_mode),
-                          table=table)
-    try:
-        proposed = _map_sessions(
-            lambda r: analyze_session(r, profiles[r.technique_id], config),
-            records, args.jobs)
-        naive = _map_sessions(
-            lambda r: naive_metrics(r, config), records, args.jobs)
-    except AbugidaError as err:
-        _fail(str(err))
-        return EXIT_INPUT
+    profiles, records = _load_study(args, table)
+    config = _metric_config(args, table)
+    proposed = [analyze_session(r, profiles[r.technique_id], config)
+                for r in records]
+    naive = [naive_metrics(r, config) for r in records]
     _emit(write_compare_report(aggregate(proposed), aggregate(naive),
                                args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace, table: CharTable) -> int:
-    try:
-        if args.graphemes:
-            clusters = segment_graphemes(args.text, table)
-            lines = [f"{c.text}\t{c.constituent_count}" for c in clusters]
-            lines.append(f"clusters\t{len(clusters)}")
-        else:
-            stream = to_output_stream(args.text, table)
-            lines = [f"{b.char}\tU+{b.codepoint:04X}\t{b.category.value}"
-                     for b in stream]
-            lines.append(f"length\t{stream.length}")
-    except (InvalidEncodingError, EncodingError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
+    if args.graphemes:
+        clusters = segment_graphemes(args.text, table)
+        lines = [f"{c.text}\t{c.constituent_count}" for c in clusters]
+        lines.append(f"clusters\t{len(clusters)}")
+    else:
+        stream = to_output_stream(args.text, table)
+        lines = [f"{b.char}\tU+{b.codepoint:04X}\t{b.category.value}"
+                 for b in stream]
+        lines.append(f"length\t{stream.length}")
     _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
     return EXIT_OK
 
@@ -212,14 +177,9 @@ def _cmd_msd(args: argparse.Namespace, table: CharTable) -> int:
         try:
             profile = parse_technique_profile(_read_file(args.profile), table)
         except (AbugidaError, OSError) as err:
-            _fail(str(err))
-            return EXIT_PROFILES
-    try:
-        a = to_output_stream(args.phrase_a, table)
-        b = to_output_stream(args.phrase_b, table)
-    except (InvalidEncodingError, EncodingError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
+            raise _Exit(EXIT_PROFILES, str(err)) from err
+    a = to_output_stream(args.phrase_a, table)
+    b = to_output_stream(args.phrase_b, table)
     result = msd(a, b, profile, CostModel(CostMode(args.msd_cost_mode)), table)
     lines = [f"distance\t{result.distance:g}"]
     for op in result.script:
@@ -234,8 +194,7 @@ def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> int:
         phrase_set = load_phrase_set(_read_file(args.phrases), args.phrases, table)
         average = corpus_word_length(phrase_set, table)
     except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
+        raise _Exit(EXIT_INPUT, str(err)) from err
     total_chars = sum(to_output_stream(p, table).length
                       for p in phrase_set.phrases)
     total_words = sum(len(p.split()) for p in phrase_set.phrases)
@@ -251,20 +210,7 @@ def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> int:
 
 
 def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> int:
-    try:
-        profiles = _load_profiles(args.profiles, table)
-    except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_PROFILES
-    try:
-        records = _parse_log(args.log, table)
-    except (AbugidaError, OSError) as err:
-        _fail(str(err))
-        return EXIT_INPUT
-    missing = _unresolved(records, profiles)
-    if missing:
-        _fail("no technique profile for: " + ", ".join(missing))
-        return EXIT_PROFILES
+    profiles, records = _load_study(args, table)
     lines = []
     clean = True
     for record in records:
@@ -291,7 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Text-entry performance metrics for Bengali session logs.")
     sub = parser.add_subparsers(metavar="command", required=True)
 
-    def add_metric_flags(p: argparse.ArgumentParser) -> None:
+    def add_study_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("log", help="JSON Lines session log")
+        p.add_argument("--profiles", required=True, metavar="PATH",
+                       help="technique profile JSON file or directory of them")
+
+    def add_evaluation_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--word-length", type=float,
                        default=DEFAULT_WORD_LENGTH_CHARS, metavar="CHARS",
                        help="average word length in constituent characters "
@@ -305,15 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write output here instead of stdout")
 
     p = sub.add_parser("analyze", help="compute per-technique metrics from a log")
-    p.add_argument("log", help="JSON Lines session log")
-    p.add_argument("--profiles", required=True, metavar="PATH",
-                   help="technique profile JSON file or directory of them")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_study_args(p)
     p.add_argument("--per-session", action="store_true",
                    help="also emit one row per session")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="analyze sessions with N worker threads")
-    add_metric_flags(p)
+    add_evaluation_flags(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
@@ -343,18 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-naive",
                        help="constituent-based vs grapheme-cluster metrics")
-    p.add_argument("log")
-    p.add_argument("--profiles", required=True, metavar="PATH")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    add_metric_flags(p)
+    add_study_args(p)
+    add_evaluation_flags(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_compare_naive)
 
     p = sub.add_parser("validate-log",
                        help="replay each session and check the transcription")
-    p.add_argument("log")
-    p.add_argument("--profiles", required=True, metavar="PATH")
+    add_study_args(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_validate_log)
 
@@ -370,7 +315,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AbugidaError, OSError) as err:
         _fail(f"ABUGIDA_TABLE: {err}")
         return EXIT_INPUT
-    return args.func(args, table)
+    try:
+        return args.func(args, table)
+    except _Exit as err:
+        _fail(str(err))
+        return err.code
+    except AbugidaError as err:  # any other domain error is bad input
+        _fail(str(err))
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 
 class AbugidaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Errors raised while evaluating one session carry its id.
+    """
+
+    session_id: str | None = None
 
 
 class InvalidEncodingError(AbugidaError):
@@ -50,6 +55,10 @@ class UnsupportedKeyError(AbugidaError):
 
 class ReplayUnderflowError(AbugidaError):
     """A backspace arrived with no text left to erase."""
+
+
+class TranscriptionMismatchError(AbugidaError):
+    """A session's events do not replay to its stored transcription."""
 
 
 class EmptySessionError(AbugidaError):

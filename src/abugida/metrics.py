@@ -27,23 +27,24 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
+from .bengali import (
+    BENGALI_TABLE,
+    CharTable,
+    normalize,
+    segment_graphemes,
+    to_output_stream,
+)
 from .errors import (
     AbugidaError,
     EmptyGroupError,
     EmptySessionError,
     EmptyStreamsError,
     EmptyTranscriptionError,
+    TranscriptionMismatchError,
     ZeroDurationError,
 )
 from .msd import CostMode, CostModel, TechniqueProfile, align_symbols, msd
-from .streams import (
-    KeyEventKind,
-    KeystrokeTaxonomy,
-    build_input_stream,
-    replay_events,
-    session_duration_s,
-)
+from .streams import build_input_stream, replay_events, session_duration_s
 
 if TYPE_CHECKING:
     from .sessionio import SessionRecord
@@ -82,7 +83,6 @@ class MetricConfig:
 
     word_length_chars: float = DEFAULT_WORD_LENGTH_CHARS
     msd_cost_mode: CostMode = CostMode.PAPER_LITERAL
-    naive_mode: bool = False
     table: CharTable = BENGALI_TABLE
 
     def __post_init__(self) -> None:
@@ -96,8 +96,8 @@ class MetricConfig:
 class SessionIntermediates:
     """Audit trail of the quantities the metrics were computed from.
 
-    In naive mode the stream lengths, INF, and MSD are measured in
-    grapheme clusters rather than constituent characters.
+    From :func:`naive_metrics` the stream lengths, INF, and MSD are
+    measured in grapheme clusters rather than constituent characters.
     """
 
     is_length: int
@@ -126,12 +126,11 @@ class SessionMetrics:
 
 @dataclass(frozen=True)
 class TechniqueSummary:
-    """Per-technique mean and sample standard deviation of each metric."""
+    """Per-technique mean of each metric."""
 
     technique_id: str
     n_sessions: int
     means: dict[str, float]
-    sds: dict[str, float]
 
 
 def wpm_bn(os_t_length: int, seconds: float,
@@ -205,16 +204,14 @@ def _evaluate(session: "SessionRecord",
         sym_p = tuple(c.text for c in segment_graphemes(session.presented, table))
         sym_t = tuple(c.text for c in segment_graphemes(session.transcribed, table))
         p_len, t_len = len(sym_p), len(sym_t)
-        if t_len == 0:
-            raise EmptyTranscriptionError("transcribed text is empty")
         alignment = align_symbols(sym_t, sym_p, None, None, cost)
     else:
         os_p = to_output_stream(session.presented, table)
         os_t = to_output_stream(session.transcribed, table)
         p_len, t_len = os_p.length, os_t.length
-        if t_len == 0:
-            raise EmptyTranscriptionError("transcribed text is empty")
         alignment = msd(os_t, os_p, profile, cost, table)
+    if t_len == 0:
+        raise EmptyTranscriptionError("transcribed text is empty")
 
     stream = build_input_stream(session.events)
     seconds = session_duration_s(stream)
@@ -227,16 +224,16 @@ def _evaluate(session: "SessionRecord",
         incorrect_fixed = sum(
             len(segment_graphemes(atom, table)) for atom in replay.erased)
     else:
+        replayed = normalize(replay.text, table)
+        if replayed != session.transcribed:
+            raise TranscriptionMismatchError(
+                f"events replay to {replayed!r}, log says "
+                f"{session.transcribed!r}")
         incorrect_fixed = sum(
             to_output_stream(atom, table).length for atom in replay.erased)
-    fixes = sum(1 for e in stream
-                if e.kind in (KeyEventKind.BACKSPACE, KeyEventKind.EDIT))
-    taxonomy = KeystrokeTaxonomy(
-        correct=t_len - inf,
-        incorrect_fixed=incorrect_fixed,
-        fixes=fixes,
-        incorrect_not_fixed=inf,
-    )
+    fixes = len(replay.erased)  # one atom per backspace; edit keys fail replay
+    # C is defined by the conservation law C + INF = |OS_T|.
+    correct = t_len - inf
 
     return SessionMetrics(
         session_id=session.session_id,
@@ -246,8 +243,7 @@ def _evaluate(session: "SessionRecord",
         kspc_bn=kspc_bn(stream.length, t_len),
         er_bn=er_bn(inf, t_len),
         msder_bn=msder_bn(alignment.distance, p_len, t_len),
-        total_error_rate=total_error_rate(
-            taxonomy.correct, taxonomy.incorrect_not_fixed, taxonomy.incorrect_fixed),
+        total_error_rate=total_error_rate(correct, inf, incorrect_fixed),
         intermediates=SessionIntermediates(
             is_length=stream.length,
             os_p_length=p_len,
@@ -255,15 +251,17 @@ def _evaluate(session: "SessionRecord",
             inf=inf,
             msd=alignment.distance,
             seconds=seconds,
-            correct=taxonomy.correct,
-            incorrect_fixed=taxonomy.incorrect_fixed,
-            fixes=taxonomy.fixes,
+            correct=correct,
+            incorrect_fixed=incorrect_fixed,
+            fixes=fixes,
         ),
     )
 
 
 def _with_session_context(session: "SessionRecord", err: AbugidaError) -> AbugidaError:
-    return type(err)(f"session {session.session_id}: {err}")
+    wrapped = type(err)(f"session {session.session_id}: {err}")
+    wrapped.session_id = session.session_id
+    return wrapped
 
 
 def analyze_session(session: "SessionRecord",
@@ -272,11 +270,11 @@ def analyze_session(session: "SessionRecord",
     """Compute every metric for one session under one technique profile.
 
     Honors ``session.inf_override`` when present; otherwise INF comes
-    from the alignment.  Errors raised by any stage propagate with the
-    session id prefixed.
+    from the alignment.  Raises :class:`TranscriptionMismatchError` when
+    the events do not replay to ``session.transcribed``.  Errors raised
+    by any stage propagate with the session id prefixed and set as
+    their ``session_id``.
     """
-    if config.naive_mode:
-        return naive_metrics(session, config)
     try:
         return _evaluate(session, profile, config, naive=False)
     except AbugidaError as err:
@@ -295,10 +293,9 @@ def naive_metrics(session: "SessionRecord",
 def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:
     """Group sessions by technique and summarize each metric.
 
-    Means use every session in the group; the standard deviation is the
-    sample SD, reported as 0 for a single session.  Values are sorted
-    before summing so the result is identical under any permutation of
-    the input, and techniques come out in lexicographic order.
+    Means use every session in the group.  Values are sorted before
+    summing so the result is identical under any permutation of the
+    input, and techniques come out in lexicographic order.
     """
     if not results:
         raise EmptyGroupError("no sessions to aggregate")
@@ -308,11 +305,7 @@ def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:
     out: list[TechniqueSummary] = []
     for technique_id in sorted(groups):
         rows = groups[technique_id]
-        means: dict[str, float] = {}
-        sds: dict[str, float] = {}
-        for metric in METRIC_FIELDS:
-            values = sorted(getattr(r, metric) for r in rows)
-            means[metric] = statistics.fmean(values)
-            sds[metric] = statistics.stdev(values) if len(values) >= 2 else 0.0
-        out.append(TechniqueSummary(technique_id, len(rows), means, sds))
+        means = {metric: statistics.fmean(sorted(getattr(r, metric) for r in rows))
+                 for metric in METRIC_FIELDS}
+        out.append(TechniqueSummary(technique_id, len(rows), means))
     return out

@@ -36,7 +36,6 @@ __all__ = [
     "atomic_unit_segment",
     "align_symbols",
     "msd",
-    "inf_from_alignment",
 ]
 
 
@@ -56,7 +55,12 @@ class CostMode(str, Enum):
 
 @dataclass(frozen=True)
 class TechniqueProfile:
-    """How a text-entry technique maps actions to constituent characters."""
+    """How a text-entry technique maps actions to constituent characters.
+
+    ``unit_keys`` names the keys that commit each declared unit.  The
+    profile parser checks that every payload is a declared unit, but it
+    is metadata only: replay and alignment never read it.
+    """
 
     technique_id: str
     atomic_units: frozenset[str] = frozenset()
@@ -264,19 +268,10 @@ def align_symbols(a: Sequence[str],
         i -= da
         j -= db
     ops.reverse()
-    script = tuple(ops)
-    return AlignmentResult(dp[m][n], script, _inf_of_script(script))
-
-
-def _inf_of_script(script: Sequence[EditOp]) -> int:
-    """Symbols still wrong after alignment: every non-match, by width."""
-    return sum(max(len(op.source), len(op.target))
-               for op in script if op.kind is not EditOpKind.MATCH)
-
-
-def inf_from_alignment(result: AlignmentResult) -> int:
-    """Count of incorrect-and-not-fixed constituents under an alignment."""
-    return _inf_of_script(result.script)
+    # INF: symbols still wrong after alignment, every non-match by width.
+    inf = sum(max(len(op.source), len(op.target))
+              for op in ops if op.kind is not EditOpKind.MATCH)
+    return AlignmentResult(dp[m][n], tuple(ops), inf)
 
 
 def msd(a: OutputStream,

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, TYPE_CHECKING, Sequence, Union
 
 from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
@@ -35,7 +35,7 @@ from .errors import (
     InvalidUnitError,
     ParseError,
 )
-from .metrics import METRIC_FIELDS, RATE_FIELDS
+from .metrics import METRIC_FIELDS, RATE_FIELDS, SessionIntermediates
 from .msd import BackspaceGranularity, TechniqueProfile
 from .streams import KeyEvent, KeyEventKind
 
@@ -365,6 +365,59 @@ def _csv_bytes(rows: Sequence[Sequence[str]]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _json_bytes(payload: object) -> bytes:
+    return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+_SUMMARY_COLUMNS = ("technique", *METRIC_FIELDS, "n_sessions")
+
+_SESSION_COLUMNS = (
+    "session_id", "technique_id", "participant_id",
+    *METRIC_FIELDS,
+    *(f.name for f in fields(SessionIntermediates)),
+)
+
+
+def _summary_rows(summaries: "Sequence[TechniqueSummary]") -> list[dict]:
+    return [{"technique": s.technique_id,
+             **{m: s.means[m] for m in METRIC_FIELDS},
+             "n_sessions": s.n_sessions}
+            for s in sorted(summaries, key=lambda s: s.technique_id)]
+
+
+def _session_rows(results: "Sequence[SessionMetrics]") -> list[dict]:
+    return [{"session_id": m.session_id, "technique_id": m.technique_id,
+             "participant_id": m.participant_id,
+             **{f: getattr(m, f) for f in METRIC_FIELDS},
+             **vars(m.intermediates)}
+            for m in results]
+
+
+def _cell(column: str, value: object) -> str:
+    if column in METRIC_FIELDS:
+        return _metric_cell(column, value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _rounded(rows: Sequence[dict]) -> list[dict]:
+    return [{k: round(v, 2) if k in METRIC_FIELDS else v for k, v in r.items()}
+            for r in rows]
+
+
+def _table_bytes(columns: Sequence[str], rows: Sequence[dict], fmt: str) -> bytes:
+    """Render rows whose keys are ``columns``, in order.
+
+    CSV prints metrics with two decimals (rates with a % suffix) and
+    other floats with ``:g``; JSON rounds metrics to two decimals.
+    """
+    if fmt == "csv":
+        return _csv_bytes([list(columns),
+                           *([_cell(k, v) for k, v in r.items()] for r in rows)])
+    if fmt == "json":
+        return _json_bytes(_rounded(rows))
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
 def write_report(summaries: "Sequence[TechniqueSummary]",
                  fmt: str = "csv") -> bytes:
     """Emit the aggregated per-technique report.
@@ -374,72 +427,13 @@ def write_report(summaries: "Sequence[TechniqueSummary]",
     the same numbers rounded to two decimals, without suffixes.  Output
     is byte-deterministic for a given input.
     """
-    ordered = sorted(summaries, key=lambda s: s.technique_id)
-    if fmt == "csv":
-        rows: list[list[str]] = [["technique", *METRIC_FIELDS, "n_sessions"]]
-        for s in ordered:
-            rows.append([s.technique_id,
-                         *(_metric_cell(m, s.means[m]) for m in METRIC_FIELDS),
-                         str(s.n_sessions)])
-        return _csv_bytes(rows)
-    if fmt == "json":
-        payload = [
-            {"technique": s.technique_id,
-             **{m: round(s.means[m], 2) for m in METRIC_FIELDS},
-             "n_sessions": s.n_sessions}
-            for s in ordered
-        ]
-        return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-_SESSION_COLUMNS = (
-    "session_id", "technique_id", "participant_id",
-    *METRIC_FIELDS,
-    "is_length", "os_p_length", "os_t_length", "inf", "msd", "seconds",
-    "correct", "incorrect_fixed", "fixes",
-)
-
-
-def _session_cells(m: "SessionMetrics") -> list[str]:
-    i = m.intermediates
-    return [
-        m.session_id, m.technique_id, m.participant_id,
-        *(_metric_cell(f, getattr(m, f)) for f in METRIC_FIELDS),
-        str(i.is_length), str(i.os_p_length), str(i.os_t_length),
-        str(i.inf), f"{i.msd:g}", f"{i.seconds:g}",
-        str(i.correct), str(i.incorrect_fixed), str(i.fixes),
-    ]
+    return _table_bytes(_SUMMARY_COLUMNS, _summary_rows(summaries), fmt)
 
 
 def write_per_session_report(results: "Sequence[SessionMetrics]",
                              fmt: str = "csv") -> bytes:
     """Emit one row per session, metrics plus the audit intermediates."""
-    if fmt == "csv":
-        rows = [list(_SESSION_COLUMNS)]
-        rows.extend(_session_cells(m) for m in results)
-        return _csv_bytes(rows)
-    if fmt == "json":
-        payload = []
-        for m in results:
-            i = m.intermediates
-            payload.append({
-                "session_id": m.session_id,
-                "technique_id": m.technique_id,
-                "participant_id": m.participant_id,
-                **{f: round(getattr(m, f), 2) for f in METRIC_FIELDS},
-                "is_length": i.is_length,
-                "os_p_length": i.os_p_length,
-                "os_t_length": i.os_t_length,
-                "inf": i.inf,
-                "msd": i.msd,
-                "seconds": i.seconds,
-                "correct": i.correct,
-                "incorrect_fixed": i.incorrect_fixed,
-                "fixes": i.fixes,
-            })
-        return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
+    return _table_bytes(_SESSION_COLUMNS, _session_rows(results), fmt)
 
 
 def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
@@ -452,11 +446,8 @@ def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
         return (write_per_session_report(sessions, fmt) + b"\r\n"
                 + write_report(summaries, fmt))
     if fmt == "json":
-        obj = {
-            "sessions": json.loads(write_per_session_report(sessions, "json")),
-            "summary": json.loads(write_report(summaries, "json")),
-        }
-        return (json.dumps(obj, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        return _json_bytes({"sessions": _rounded(_session_rows(sessions)),
+                            "summary": _rounded(_summary_rows(summaries))})
     raise ValueError(f"unknown report format {fmt!r}")
 
 
@@ -488,5 +479,5 @@ def write_compare_report(proposed: "Sequence[TechniqueSummary]",
              "delta": round(ours - theirs, 2)}
             for tid, metric, ours, theirs in rows_data
         ]
-        return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        return _json_bytes(payload)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -1,4 +1,4 @@
-"""Keystroke input streams: building, timing, replay, and taxonomy.
+"""Keystroke input streams: building, timing, and replay.
 
 The input stream is every key action the participant performed, in
 time order: text-producing keys (single characters or whole atomic
@@ -7,10 +7,10 @@ all of them, which is what makes KSPC sensitive to correction effort.
 
 Replay reconstructs the transcribed text from the events alone, which
 both validates a log and yields the erased material needed to split
-keystrokes into the classic four classes: correct (C), incorrect but
-fixed (IF), fixes (F), and incorrect and not fixed (INF).  Cursor
-movement ("edit" events) is rejected rather than guessed at: without a
-caret model any reconstruction would be fiction.
+keystrokes into the classic four classes (see :mod:`abugida.metrics`):
+correct (C), incorrect but fixed (IF), fixes (F), and incorrect and not
+fixed (INF).  Cursor movement ("edit" events) is rejected rather than
+guessed at: without a caret model any reconstruction would be fiction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Iterator, Sequence, Union
 
-from .bengali import BENGALI_TABLE, CharTable, OutputStream, normalize, to_output_stream
+from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
 from .errors import (
     EmptySessionError,
     ReplayUnderflowError,
@@ -33,12 +33,10 @@ __all__ = [
     "KeyEvent",
     "InputStream",
     "ReplayResult",
-    "KeystrokeTaxonomy",
     "build_input_stream",
     "session_duration_s",
     "replay_events",
     "replay_transcription",
-    "classify_keystrokes",
 ]
 
 
@@ -96,16 +94,6 @@ class ReplayResult:
 
     text: str
     erased: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class KeystrokeTaxonomy:
-    """C / IF / F / INF split of a session's keystrokes."""
-
-    correct: int
-    incorrect_fixed: int
-    fixes: int
-    incorrect_not_fixed: int
 
 
 Events = Union[InputStream, Sequence[KeyEvent], Iterable[KeyEvent]]
@@ -192,30 +180,3 @@ def replay_transcription(events: Events,
                          table: CharTable = BENGALI_TABLE) -> str:
     """Reconstruct the transcribed text from the events, normalized."""
     return normalize(replay_events(events, profile, table).text, table)
-
-
-def classify_keystrokes(events: Events,
-                        os_t: OutputStream,
-                        inf: int,
-                        profile: TechniqueProfile | None = None,
-                        table: CharTable = BENGALI_TABLE) -> KeystrokeTaxonomy:
-    """Split a session's keystrokes into C / IF / F / INF.
-
-    ``inf`` comes from the alignment (or a log override); ``os_t`` is the
-    transcribed output stream.  C is defined by the conservation law
-    C + INF = |OS_T|.  IF counts erased constituent characters and F
-    counts the fixing actions themselves (backspaces and edit keys).
-    Events must replay without error.
-    """
-    ordered = _event_list(events)
-    result = replay_events(ordered, profile, table)
-    incorrect_fixed = sum(
-        to_output_stream(atom, table).length for atom in result.erased)
-    fixes = sum(1 for e in ordered
-                if e.kind in (KeyEventKind.BACKSPACE, KeyEventKind.EDIT))
-    return KeystrokeTaxonomy(
-        correct=os_t.length - inf,
-        incorrect_fixed=incorrect_fixed,
-        fixes=fixes,
-        incorrect_not_fixed=inf,
-    )

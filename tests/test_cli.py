@@ -120,6 +120,53 @@ class TestAnalyze:
         assert code == 1
         assert "s1" in err
 
+    def test_tampered_transcription_exit_1(self, capsys, tmp_path,
+                                           sidebar_profile_file):
+        obj = sidebar_log_obj()
+        obj["transcribed"] = "ক্ষণিকের অতিথি"  # events do not produce this
+        log = write_jsonl(tmp_path / "log.jsonl", [obj])
+        code, out, err = run(capsys, "analyze", log,
+                             "--profiles", sidebar_profile_file)
+        assert code == 1
+        assert out == ""
+        assert "session s1" in err
+
+
+@pytest.mark.parametrize("command", ["compare-naive", "validate-log"])
+class TestLogCommandErrors:
+    """The exit codes TestAnalyze checks, for the other log commands."""
+
+    def test_empty_log_exit_1(self, capsys, tmp_path, sidebar_profile_file, command):
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        code, out, err = run(capsys, command, str(log),
+                             "--profiles", sidebar_profile_file)
+        assert code == 1
+        assert out == ""
+        assert "no sessions" in err
+
+    def test_malformed_log_exit_1(self, capsys, tmp_path, sidebar_profile_file,
+                                  command):
+        log = tmp_path / "bad.jsonl"
+        log.write_text("{nope\n")
+        code, _, err = run(capsys, command, str(log),
+                           "--profiles", sidebar_profile_file)
+        assert code == 1
+        assert "line 1" in err
+
+    def test_missing_profile_file_exit_2(self, capsys, sidebar_log_file, tmp_path,
+                                         command):
+        code, _, _ = run(capsys, command, sidebar_log_file,
+                         "--profiles", str(tmp_path / "nope.json"))
+        assert code == 2
+
+    def test_unresolved_technique_exit_2(self, capsys, tmp_path, sidebar_log_file,
+                                         command):
+        profile = write_json(tmp_path / "other.json", basic_profile_obj())
+        code, _, err = run(capsys, command, sidebar_log_file, "--profiles", profile)
+        assert code == 2
+        assert "conjunct-key" in err
+
 
 class TestDecompose:
     def test_constituents(self, capsys):

@@ -165,11 +165,16 @@ class TestAnalyzeSession:
         with pytest.raises(ab.UnsupportedKeyError, match="cursor-1"):
             ab.analyze_session(rec, None)
 
-    def test_naive_mode_config_switches_pipeline(self, sidebar_record, sidebar_profile):
-        direct = ab.naive_metrics(sidebar_record)
-        via_config = ab.analyze_session(sidebar_record, sidebar_profile,
-                                        ab.MetricConfig(naive_mode=True))
-        assert direct == via_config
+    def test_events_must_replay_to_transcription(self, sidebar_record,
+                                                 sidebar_profile):
+        # the events omit the ি of অতিথি, but the log claims they did not
+        rec = record(PRESENTED, PRESENTED, sidebar_record.events,
+                     session_id="tampered-1")
+        with pytest.raises(ab.TranscriptionMismatchError,
+                           match="tampered-1") as info:
+            ab.analyze_session(rec, sidebar_profile)
+        assert info.value.session_id == "tampered-1"
+        assert repr(TRANSCRIBED) in str(info.value)
 
 
 class TestNaiveMetrics:
@@ -220,16 +225,11 @@ class TestAggregate:
         return ab.SessionMetrics(f"s-{technique}-{n}", technique, "p",
                                  wpm, 1.0, 0.0, 0.0, 0.0, i)
 
-    def test_mean_and_sample_sd(self):
+    def test_mean(self):
         rows = [self._metrics("t", 6.0, 1), self._metrics("t", 8.0, 2)]
         summary, = ab.aggregate(rows)
         assert summary.means["wpm_bn"] == pytest.approx(7.0)
-        assert summary.sds["wpm_bn"] == pytest.approx(1.4142135623730951)
         assert summary.n_sessions == 2
-
-    def test_single_session_sd_is_zero(self):
-        summary, = ab.aggregate([self._metrics("t", 6.0)])
-        assert summary.sds["wpm_bn"] == 0.0
 
     def test_lexicographic_technique_order(self):
         rows = [self._metrics("zebra", 1.0), self._metrics("alpha", 2.0)]

@@ -246,8 +246,7 @@ def summary(technique="conjunct-key", **means):
               "er_bn": 7.6923076923076925, "msder_bn": 7.142857142857142,
               "total_error_rate": 7.6923076923076925}
     values.update(means)
-    return ab.TechniqueSummary(technique, 1, values,
-                               {k: 0.0 for k in values})
+    return ab.TechniqueSummary(technique, 1, values)
 
 
 class TestWriteReport:

@@ -126,36 +126,38 @@ class TestReplay:
 
 
 class TestClassifyKeystrokes:
-    def test_sidebar_taxonomy(self, sidebar_events, sidebar_profile):
-        os_t = ab.to_output_stream("ক্ষণিকের অতথি")
-        tax = ab.classify_keystrokes(sidebar_events, os_t, 1, sidebar_profile)
-        assert tax == ab.KeystrokeTaxonomy(
-            correct=12, incorrect_fixed=0, fixes=0, incorrect_not_fixed=1)
+    """The C / IF / F / INF split, as analyze_session reports it."""
+
+    @staticmethod
+    def taxonomy(text, events, profile=None, inf_override=None):
+        record = ab.SessionRecord("s", "t", "p", text, text, tuple(events),
+                                  inf_override)
+        i = ab.analyze_session(record, profile).intermediates
+        return i.correct, i.incorrect_fixed, i.fixes, i.inf
+
+    def test_sidebar_taxonomy(self, sidebar_record, sidebar_profile):
+        i = ab.analyze_session(sidebar_record, sidebar_profile).intermediates
+        assert (i.correct, i.incorrect_fixed, i.fixes, i.inf) == (12, 0, 0, 1)
 
     def test_error_free_session(self):
         events = [ev(0, "char", "ব"), ev(10, "char", "ই")]
-        os_t = ab.to_output_stream("বই")
-        tax = ab.classify_keystrokes(events, os_t, 0)
-        assert tax == ab.KeystrokeTaxonomy(2, 0, 0, 0)
+        assert self.taxonomy("বই", events) == (2, 0, 0, 0)
 
     def test_corrected_error(self):
         # typed ঈ, erased it, typed ই
         events = [ev(0, "char", "ব"), ev(10, "char", "ঈ"),
                   ev(20, "bksp"), ev(30, "char", "ই")]
-        os_t = ab.to_output_stream("বই")
-        tax = ab.classify_keystrokes(events, os_t, 0)
-        assert tax == ab.KeystrokeTaxonomy(2, 1, 1, 0)
+        assert self.taxonomy("বই", events) == (2, 1, 1, 0)
 
     def test_unit_erasure_counts_constituents(self, sidebar_profile):
         events = [ev(0, "unit", "ক্ষ"), ev(10, "bksp"), ev(20, "char", "ক")]
-        os_t = ab.to_output_stream("ক")
-        tax = ab.classify_keystrokes(events, os_t, 0, sidebar_profile)
-        assert tax.incorrect_fixed == 3
-        assert tax.fixes == 1
+        _, incorrect_fixed, fixes, _ = self.taxonomy("ক", events, sidebar_profile)
+        assert incorrect_fixed == 3
+        assert fixes == 1
 
     @pytest.mark.parametrize("inf", [0, 1, 5])
     def test_conservation(self, inf):
         events = [ev(i * 10, "char", c) for i, c in enumerate("কখগঘঙ")]
-        os_t = ab.to_output_stream("কখগঘঙ")
-        tax = ab.classify_keystrokes(events, os_t, inf)
-        assert tax.correct + tax.incorrect_not_fixed == os_t.length
+        correct, _, _, inf_out = self.taxonomy("কখগঘঙ", events, inf_override=inf)
+        assert inf_out == inf
+        assert correct + inf_out == ab.to_output_stream("কখগঘঙ").length
