@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from typing import Sequence
@@ -83,11 +84,18 @@ def _emit(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
+def _text(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _load_table() -> CharTable:
     path = os.environ.get("ABUGIDA_TABLE")
     if not path:
         return BENGALI_TABLE
-    return load_table_file(path)
+    try:
+        return load_table_file(path)
+    except (AbugidaError, OSError) as err:
+        raise _Exit(EXIT_INPUT, f"ABUGIDA_TABLE: {err}") from err
 
 
 def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
@@ -134,30 +142,28 @@ def _metric_config(args: argparse.Namespace, table: CharTable) -> MetricConfig:
                         table=table)
 
 
-def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
     config = _metric_config(args, table)
     results = [analyze_session(r, profiles[r.technique_id], config)
                for r in records]
     summaries = aggregate(results)
-    _emit(write_analysis_report(
-        summaries, results if args.per_session else None, args.format),
-        args.out)
-    return EXIT_OK
+    return EXIT_OK, write_analysis_report(
+        summaries, results if args.per_session else None, args.format)
 
 
-def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
     config = _metric_config(args, table)
     proposed = [analyze_session(r, profiles[r.technique_id], config)
                 for r in records]
-    naive = [naive_metrics(r, config) for r in records]
-    _emit(write_compare_report(aggregate(proposed), aggregate(naive),
-                               args.format), args.out)
-    return EXIT_OK
+    naive = [naive_metrics(r, profiles[r.technique_id], config)
+             for r in records]
+    return EXIT_OK, write_compare_report(aggregate(proposed), aggregate(naive),
+                                         args.format)
 
 
-def _cmd_decompose(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_decompose(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     if args.graphemes:
         clusters = segment_graphemes(args.text, table)
         lines = [f"{c.text}\t{c.constituent_count}" for c in clusters]
@@ -167,11 +173,10 @@ def _cmd_decompose(args: argparse.Namespace, table: CharTable) -> int:
         lines = [f"{b.char}\tU+{b.codepoint:04X}\t{b.category.value}"
                  for b in stream]
         lines.append(f"length\t{stream.length}")
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return EXIT_OK
+    return EXIT_OK, _text(lines)
 
 
-def _cmd_msd(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_msd(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profile = None
     if args.profile:
         try:
@@ -185,11 +190,10 @@ def _cmd_msd(args: argparse.Namespace, table: CharTable) -> int:
     for op in result.script:
         lines.append(f"{op.kind.value}\t{op.pos_a}\t{op.pos_b}"
                      f"\t{op.source_text}\t{op.target_text}\t{op.cost:g}")
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return EXIT_OK
+    return EXIT_OK, _text(lines)
 
 
-def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     try:
         phrase_set = load_phrase_set(_read_file(args.phrases), args.phrases, table)
         average = corpus_word_length(phrase_set, table)
@@ -205,11 +209,10 @@ def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> int:
         f"avg_word_length_chars\t{average:.4f}",
         f"delta_vs_default\t{average - DEFAULT_WORD_LENGTH_CHARS:+.4f}",
     ]
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return EXIT_OK
+    return EXIT_OK, _text(lines)
 
 
-def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> int:
+def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
     lines = []
     clean = True
@@ -227,8 +230,15 @@ def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> int:
             lines.append(f"{record.session_id}\tMISMATCH\treplayed "
                          f"{replayed!r}, log says {record.transcribed!r}")
             clean = False
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return EXIT_OK if clean else EXIT_MISMATCH
+    return (EXIT_OK if clean else EXIT_MISMATCH), _text(lines)
+
+
+def finite_positive(text: str) -> float:
+    """Type of --word-length; argparse reports the ValueError as invalid."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--word-length", type=float,
+        p.add_argument("--word-length", type=finite_positive,
                        default=DEFAULT_WORD_LENGTH_CHARS, metavar="CHARS",
                        help="average word length in constituent characters "
                             f"(default {DEFAULT_WORD_LENGTH_CHARS})")
@@ -254,16 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="paper",
                        help="unit operation pricing (default paper: 1/n)")
 
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", metavar="FILE",
-                       help="write output here instead of stdout")
-
     p = sub.add_parser("analyze", help="compute per-technique metrics from a log")
     add_study_args(p)
     p.add_argument("--per-session", action="store_true",
                    help="also emit one row per session")
     add_evaluation_flags(p)
-    add_output_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("decompose",
@@ -271,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("text")
     p.add_argument("--graphemes", action="store_true",
                    help="show grapheme clusters instead")
-    add_output_flags(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("msd", help="minimum string distance between two texts")
@@ -281,28 +285,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="technique profile enabling whole-unit operations")
     p.add_argument("--msd-cost-mode", choices=("paper", "normalized"),
                    default="paper")
-    add_output_flags(p)
     p.set_defaults(func=_cmd_msd)
 
     p = sub.add_parser("corpus-stats",
                        help="word-length statistics of a phrase set")
     p.add_argument("phrases", help="phrase set file, one phrase per line")
-    add_output_flags(p)
     p.set_defaults(func=_cmd_corpus_stats)
 
     p = sub.add_parser("compare-naive",
                        help="constituent-based vs grapheme-cluster metrics")
     add_study_args(p)
     add_evaluation_flags(p)
-    add_output_flags(p)
     p.set_defaults(func=_cmd_compare_naive)
 
     p = sub.add_parser("validate-log",
                        help="replay each session and check the transcription")
     add_study_args(p)
-    add_output_flags(p)
     p.set_defaults(func=_cmd_validate_log)
 
+    for p in sub.choices.values():  # main writes every command's output
+        p.add_argument("--out", metavar="FILE",
+                       help="write output here instead of stdout")
     return parser
 
 
@@ -311,18 +314,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                         format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        table = _load_table()
-    except (AbugidaError, OSError) as err:
-        _fail(f"ABUGIDA_TABLE: {err}")
-        return EXIT_INPUT
-    try:
-        return args.func(args, table)
+        # "ab" fails at once on a bad path and keeps an existing file as it
+        # was, so a failed run costs no work and destroys no report.
+        if args.out:
+            open(args.out, "ab").close()
+        code, data = args.func(args, _load_table())
+        _emit(data, args.out)
     except _Exit as err:
         _fail(str(err))
         return err.code
-    except AbugidaError as err:  # any other domain error is bad input
+    except (AbugidaError, OSError) as err:  # bad input, or --out unwritable
         _fail(str(err))
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -15,14 +15,15 @@ The default word length of 5.11 constituent characters comes from a
 Bengali corpus average; pass your own for a different corpus (see the
 ``corpus-stats`` command).
 
-``naive_metrics`` runs the identical pipeline with grapheme clusters as
-the unit of counting instead of constituents, reproducing the older
-convention for side-by-side comparison.  On conjunct-free text the two
-agree exactly; conjuncts pull the naive lengths down and distort rates.
+``naive_metrics`` runs the same pipeline and replay over grapheme
+clusters instead of constituents, reproducing the older convention for
+side-by-side comparison.  On conjunct-free text the two agree exactly;
+conjuncts pull the naive lengths down and distort rates.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -30,7 +31,6 @@ from typing import TYPE_CHECKING, Sequence
 from .bengali import (
     BENGALI_TABLE,
     CharTable,
-    normalize,
     segment_graphemes,
     to_output_stream,
 )
@@ -88,8 +88,8 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if isinstance(self.msd_cost_mode, str) and not isinstance(self.msd_cost_mode, CostMode):
             object.__setattr__(self, "msd_cost_mode", CostMode(self.msd_cost_mode))
-        if self.word_length_chars <= 0:
-            raise ValueError("word length must be positive")
+        if not (math.isfinite(self.word_length_chars) and self.word_length_chars > 0):
+            raise ValueError("word length must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def wpm_bn(os_t_length: int, seconds: float,
     has happened.  A one-character transcription therefore scores 0
     regardless of duration.
     """
-    if word_length_chars <= 0:
-        raise ValueError("word length must be positive")
+    if not (math.isfinite(word_length_chars) and word_length_chars > 0):
+        raise ValueError("word length must be finite and positive")
     if os_t_length <= 0:
         raise EmptyTranscriptionError("transcribed stream is empty")
     if os_t_length == 1:
@@ -200,16 +200,17 @@ def _evaluate(session: "SessionRecord",
     table = config.table
     cost = CostModel(config.msd_cost_mode)
 
+    # The view's symbols: grapheme clusters aligned without unit costs, or
+    # constituents.  Erased atoms are counted in the same symbols.
     if naive:
-        sym_p = tuple(c.text for c in segment_graphemes(session.presented, table))
-        sym_t = tuple(c.text for c in segment_graphemes(session.transcribed, table))
-        p_len, t_len = len(sym_p), len(sym_t)
-        alignment = align_symbols(sym_t, sym_p, None, None, cost)
+        symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
+        align = lambda t, p: align_symbols(t, p, None, None, cost)
     else:
-        os_p = to_output_stream(session.presented, table)
-        os_t = to_output_stream(session.transcribed, table)
-        p_len, t_len = os_p.length, os_t.length
-        alignment = msd(os_t, os_p, profile, cost, table)
+        symbols = lambda text: to_output_stream(text, table)
+        align = lambda t, p: msd(t, p, profile, cost, table)
+    sym_p, sym_t = symbols(session.presented), symbols(session.transcribed)
+    p_len, t_len = len(sym_p), len(sym_t)
+    alignment = align(sym_t, sym_p)
     if t_len == 0:
         raise EmptyTranscriptionError("transcribed text is empty")
 
@@ -217,20 +218,12 @@ def _evaluate(session: "SessionRecord",
     seconds = session_duration_s(stream)
     inf = session.inf_override if session.inf_override is not None else alignment.inf
 
-    # The naive convention ignores technique structure, so its replay is
-    # permissive and erased material is counted in clusters.
-    replay = replay_events(stream, None if naive else profile, table)
-    if naive:
-        incorrect_fixed = sum(
-            len(segment_graphemes(atom, table)) for atom in replay.erased)
-    else:
-        replayed = normalize(replay.text, table)
-        if replayed != session.transcribed:
-            raise TranscriptionMismatchError(
-                f"events replay to {replayed!r}, log says "
-                f"{session.transcribed!r}")
-        incorrect_fixed = sum(
-            to_output_stream(atom, table).length for atom in replay.erased)
+    replay = replay_events(stream, profile, table)
+    if replay.text != session.transcribed:
+        raise TranscriptionMismatchError(
+            f"events replay to {replay.text!r}, log says "
+            f"{session.transcribed!r}")
+    incorrect_fixed = sum(len(symbols(atom)) for atom in replay.erased)
     fixes = len(replay.erased)  # one atom per backspace; edit keys fail replay
     # C is defined by the conservation law C + INF = |OS_T|.
     correct = t_len - inf
@@ -282,10 +275,11 @@ def analyze_session(session: "SessionRecord",
 
 
 def naive_metrics(session: "SessionRecord",
+                  profile: TechniqueProfile | None,
                   config: MetricConfig = MetricConfig()) -> SessionMetrics:
-    """The same pipeline with grapheme clusters as the counting unit."""
+    """The same pipeline and replay with grapheme clusters as the unit."""
     try:
-        return _evaluate(session, None, config, naive=True)
+        return _evaluate(session, profile, config, naive=True)
     except AbugidaError as err:
         raise _with_session_context(session, err) from err
 

@@ -129,7 +129,7 @@ def session_duration_s(stream: InputStream) -> float:
 def replay_events(events: Events,
                   profile: TechniqueProfile | None = None,
                   table: CharTable = BENGALI_TABLE) -> ReplayResult:
-    """Replay keystrokes into text, tracking erased material.
+    """Replay keystrokes into canonical text, tracking erased material.
 
     Character events append their constituent characters one atom each;
     unit events append one whole-unit atom when the profile erases at
@@ -172,11 +172,11 @@ def replay_events(events: Events,
             raise UnsupportedKeyError(
                 f"edit event at t={ev.t_ms}ms: cursor movement is not replayable")
         # modifiers produce no text
-    return ReplayResult("".join(atoms), tuple(erased))
+    return ReplayResult(normalize("".join(atoms), table), tuple(erased))
 
 
 def replay_transcription(events: Events,
                          profile: TechniqueProfile,
                          table: CharTable = BENGALI_TABLE) -> str:
     """Reconstruct the transcribed text from the events, normalized."""
-    return normalize(replay_events(events, profile, table).text, table)
+    return replay_events(events, profile, table).text

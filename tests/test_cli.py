@@ -333,6 +333,81 @@ class TestJobsAndDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.fixture
+def command_argv(tmp_path, sidebar_log_file, sidebar_profile_file):
+    """Working arguments for each of the six commands, --out not included."""
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text("বই\n", encoding="utf-8")
+    study = ["--profiles", sidebar_profile_file]
+    return {
+        "analyze": ["analyze", sidebar_log_file, *study],
+        "compare-naive": ["compare-naive", sidebar_log_file, *study],
+        "validate-log": ["validate-log", sidebar_log_file, *study],
+        "decompose": ["decompose", "কান্ড"],
+        "msd": ["msd", "বই", "বা"],
+        "corpus-stats": ["corpus-stats", str(phrases)],
+    }
+
+
+COMMANDS = ["analyze", "compare-naive", "validate-log", "decompose", "msd",
+            "corpus-stats"]
+
+
+class TestOut:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_out_exit_1(self, capsys, tmp_path, command_argv, command):
+        out_path = str(tmp_path / "missing-dir" / "report.txt")
+        code, out, err = run(capsys, *command_argv[command], "--out", out_path)
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_evaluates_nothing(self, capsys, tmp_path, monkeypatch,
+                                             command_argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("a session was evaluated")
+        monkeypatch.setattr("abugida.cli.analyze_session", fail)
+        code, _, _ = run(capsys, *command_argv["analyze"],
+                         "--out", str(tmp_path / "missing-dir" / "r.csv"))
+        assert code == 1
+
+    def test_failed_run_keeps_existing_report(self, capsys, tmp_path,
+                                              sidebar_log_file):
+        report = tmp_path / "report.csv"
+        report.write_bytes(b"an earlier report\r\n")
+        code, _, _ = run(capsys, "analyze", sidebar_log_file,
+                         "--profiles", str(tmp_path / "nope.json"),
+                         "--out", str(report))
+        assert code == 2
+        assert report.read_bytes() == b"an earlier report\r\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_replaces_existing_file(self, capsys, tmp_path, command_argv,
+                                        command):
+        _, stdout, _ = run(capsys, *command_argv[command])
+        report = tmp_path / "report"
+        report.write_bytes(b"x" * 10000)
+        code, out, _ = run(capsys, *command_argv[command], "--out", str(report))
+        assert code == 0
+        assert out == ""
+        assert report.read_bytes() == stdout.encode("utf-8")
+
+    def test_dev_null(self, capsys, command_argv):
+        code, out, err = run(capsys, *command_argv["analyze"], "--out", "/dev/null")
+        assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare-naive"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_word_length_must_be_finite_and_positive(capsys, command_argv, command,
+                                                 value):
+    with pytest.raises(SystemExit) as info:
+        main([*command_argv[command], "--word-length", value])
+    assert info.value.code == 2
+    assert "--word-length" in capsys.readouterr().err
+
+
 class TestTableOverride:
     def test_reclassification_applies(self, capsys, tmp_path, monkeypatch):
         lines = ab.BENGALI_TABLE.to_lines()

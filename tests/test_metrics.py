@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import abugida as ab
@@ -47,9 +49,10 @@ class TestWpm:
     def test_inverse_in_word_length(self):
         assert ab.wpm_bn(13, 20.0, 10.22) == pytest.approx(ab.wpm_bn(13, 20.0) / 2)
 
-    def test_bad_word_length(self):
+    @pytest.mark.parametrize("word_length", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_word_length(self, word_length):
         with pytest.raises(ValueError):
-            ab.wpm_bn(13, 20.0, 0.0)
+            ab.wpm_bn(13, 20.0, word_length)
 
 
 class TestKspc:
@@ -178,8 +181,8 @@ class TestAnalyzeSession:
 
 
 class TestNaiveMetrics:
-    def test_sidebar_cluster_counts(self, sidebar_record):
-        m = ab.naive_metrics(sidebar_record)
+    def test_sidebar_cluster_counts(self, sidebar_record, sidebar_profile):
+        m = ab.naive_metrics(sidebar_record, sidebar_profile)
         i = m.intermediates
         # 8 clusters on both sides instead of 14 and 13 constituents
         assert (i.os_p_length, i.os_t_length) == (8, 8)
@@ -191,14 +194,14 @@ class TestNaiveMetrics:
 
     def test_agrees_with_constituents_when_no_marks(self):
         rec = record("বই", "বই", clean_events("বই"))
-        assert ab.naive_metrics(rec) == ab.analyze_session(rec, None)
+        assert ab.naive_metrics(rec, None) == ab.analyze_session(rec, None)
 
     def test_single_cluster_substitution_hides_width(self):
         # ব্ৰ and ব্র differ in one of three constituents, but the naive
         # view sees one cluster replacing one cluster
         events = clean_events("ব্ৰ")
         rec = record("ব্র", "ব্ৰ", events)
-        naive = ab.naive_metrics(rec)
+        naive = ab.naive_metrics(rec, None)
         proposed = ab.analyze_session(rec, None)
         assert naive.intermediates.os_t_length == 1
         assert proposed.intermediates.os_t_length == 3
@@ -212,11 +215,38 @@ class TestNaiveMetrics:
         events = (clean_events("কান্ড")
                   + [ev(3000, "bksp"), ev(3200, "bksp"), ev(3400, "bksp")])
         rec = record("কা", "কা", events)
-        naive = ab.naive_metrics(rec)
+        naive = ab.naive_metrics(rec, None)
         proposed = ab.analyze_session(rec, None)
         assert proposed.intermediates.incorrect_fixed == 3
         assert naive.intermediates.incorrect_fixed == 3  # erased one at a time
         assert naive.intermediates.fixes == proposed.intermediates.fixes == 3
+
+    def test_replays_by_the_technique_profile(self, sidebar_profile):
+        # one backspace erases the whole unit ক্ষ: 1 cluster, 3 constituents
+        events = [ev(0, "unit", "ক্ষ"), ev(500, "bksp"), ev(1000, "char", "ক")]
+        rec = record("ক", "ক", events)
+        naive = ab.naive_metrics(rec, sidebar_profile).intermediates
+        proposed = ab.analyze_session(rec, sidebar_profile).intermediates
+        assert (naive.fixes, naive.incorrect_fixed) == (1, 1)
+        assert (proposed.fixes, proposed.incorrect_fixed) == (1, 3)
+
+    def test_multi_cluster_unit_counts_every_cluster(self):
+        # কান্ড is one unit of 5 constituents in 2 clusters (কা, ন্ড)
+        profile = ab.TechniqueProfile("t", frozenset({"কান্ড"}),
+                                      backspace_granularity="unit")
+        events = [ev(0, "unit", "কান্ড"), ev(500, "bksp"), ev(1000, "char", "ক")]
+        rec = record("ক", "ক", events)
+        naive = ab.naive_metrics(rec, profile).intermediates
+        proposed = ab.analyze_session(rec, profile).intermediates
+        assert (naive.fixes, naive.incorrect_fixed) == (1, 2)
+        assert (proposed.fixes, proposed.incorrect_fixed) == (1, 5)
+
+    def test_events_must_replay_to_transcription(self):
+        rec = record("কখ", "কখ", clean_events("ক"), session_id="tampered-2")
+        with pytest.raises(ab.TranscriptionMismatchError,
+                           match="tampered-2") as info:
+            ab.naive_metrics(rec, None)
+        assert info.value.session_id == "tampered-2"
 
 
 class TestAggregate:
@@ -249,6 +279,7 @@ class TestMetricConfig:
         assert ab.MetricConfig(msd_cost_mode="normalized").msd_cost_mode \
             is ab.CostMode.NORMALIZED_UNIT
 
-    def test_bad_word_length(self):
+    @pytest.mark.parametrize("word_length", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_word_length(self, word_length):
         with pytest.raises(ValueError):
-            ab.MetricConfig(word_length_chars=0.0)
+            ab.MetricConfig(word_length_chars=word_length)

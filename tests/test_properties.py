@@ -1,0 +1,97 @@
+"""Property tests for the replay both views share.
+
+A simulated typist types a key plan under a technique profile, with
+stray keys that it either corrects with backspace or leaves in place,
+omitted keys, and held modifiers.  It keeps its own model of the
+editor's atoms, so each session's transcription is known without
+calling the replay under test.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import abugida as ab
+
+UNITS = ("ক্ষ", "ন্ড", "স্ত")
+# Consonants without signs, independent vowels, digits and spaces: every
+# grapheme cluster of a text made of these is one codepoint.
+SINGLE = ("ক", "খ", "ত", "ষ", "অ", "আ", "১", " ")
+MARKS = ("া", "ি", "ে", "্")
+
+ACTIONS = ("type",) * 6 + ("omit", "stray-kept", "stray-fixed", "substitute", "mod")
+
+
+@st.composite
+def typed_sessions(draw, granularity, chars=SINGLE + MARKS, units=UNITS):
+    """A session record and the profile it was typed under."""
+    profile = ab.TechniqueProfile("t", frozenset(UNITS),
+                                  backspace_granularity=granularity)
+    key = st.tuples(st.just("char"), st.sampled_from(chars))
+    if units:
+        key = key | st.tuples(st.just("unit"), st.sampled_from(units))
+    plan = draw(st.lists(key, min_size=1, max_size=10))
+
+    events: list[ab.KeyEvent] = []
+    atoms: list[str] = []  # the editor model: what one backspace erases
+    clock = [0]
+
+    def emit(kind: str, payload: str = "") -> None:
+        events.append(ab.KeyEvent(clock[0], kind, payload))
+        clock[0] += draw(st.integers(min_value=1, max_value=900))
+
+    def press(kind: str, payload: str) -> None:
+        emit(kind, payload)
+        if kind == "unit" and granularity == "unit":
+            atoms.append(payload)
+        else:
+            atoms.extend(payload)  # one atom per constituent codepoint
+
+    for intended in plan:
+        action = draw(st.sampled_from(ACTIONS))
+        stray = draw(key)
+        if action == "mod":
+            emit("mod")
+        if action == "stray-kept":
+            press(*stray)
+        elif action == "stray-fixed":
+            before = len(atoms)
+            press(*stray)
+            while len(atoms) > before:
+                emit("bksp")
+                atoms.pop()
+        if action == "substitute":
+            press(*stray)
+        elif action != "omit":
+            press(*intended)
+
+    presented = ab.normalize("".join(payload for _, payload in plan))
+    transcribed = ab.normalize("".join(atoms))
+    assume(transcribed and len(events) >= 2)
+    record = ab.SessionRecord("typed-1", "t", "p", presented, transcribed,
+                              tuple(events))
+    return record, profile
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_both_views_accept_typed_sessions(granularity, data):
+    record, profile = data.draw(typed_sessions(granularity))
+    naive = ab.naive_metrics(record, profile).intermediates
+    proposed = ab.analyze_session(record, profile).intermediates
+    assert (naive.is_length, naive.seconds, naive.fixes) \
+        == (proposed.is_length, proposed.seconds, proposed.fixes)
+    # an erased atom never has more clusters than constituents
+    assert 0 <= naive.incorrect_fixed <= proposed.incorrect_fixed
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_views_agree_when_every_cluster_is_one_codepoint(granularity, data):
+    record, profile = data.draw(
+        typed_sessions(granularity, chars=SINGLE, units=()))
+    assert ab.naive_metrics(record, profile) == ab.analyze_session(record, profile)
