@@ -21,7 +21,6 @@ from .bengali import (
     GraphemeCluster,
     OutputStream,
     classify_codepoint,
-    load_table_file,
     normalize,
     recompose,
     segment_graphemes,
@@ -78,6 +77,7 @@ from .sessionio import (
     SessionRecord,
     corpus_word_length,
     load_phrase_set,
+    load_table_file,
     parse_session_log,
     parse_technique_profile,
     write_report,

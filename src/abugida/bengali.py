@@ -18,11 +18,12 @@ text sum to its output-stream length.
 
 Classification and pairwise composition are table driven so another
 script can be swapped in from a plain text table file (see
-:func:`load_table_file`); the built-in :data:`BENGALI_TABLE` covers the
-Bengali block U+0980..U+09FF.  Normalization applies NFC first and then
-the table's composition pairs; the second pass matters because NFC
-deliberately leaves some precomposed letters (ড় ঢ় য়) in decomposed
-form, and we want one canonical spelling per text before any counting.
+:func:`abugida.sessionio.load_table_file`); the built-in
+:data:`BENGALI_TABLE` covers the Bengali block U+0980..U+09FF.
+Normalization applies NFC first and then the table's composition pairs;
+the second pass matters because NFC deliberately leaves some precomposed
+letters (ড় ঢ় য়) in decomposed form, and we want one canonical spelling
+per text before any counting.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EncodingError, InvalidEncodingError, ParseError
+from .errors import InvalidEncodingError, ParseError
 
 __all__ = [
     "CodepointClass",
@@ -47,7 +48,6 @@ __all__ = [
     "to_output_stream",
     "segment_graphemes",
     "recompose",
-    "load_table_file",
 ]
 
 
@@ -260,17 +260,6 @@ def _builtin_table() -> CharTable:
 
 
 BENGALI_TABLE = _builtin_table()
-
-
-def load_table_file(path: str) -> CharTable:
-    """Load a classification table from a UTF-8 record file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise EncodingError(f"{path}: {err}") from err
-    return CharTable.from_lines(text.splitlines())
 
 
 def classify_codepoint(codepoint: int, table: CharTable = BENGALI_TABLE) -> CodepointClass:

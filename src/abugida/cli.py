@@ -19,13 +19,7 @@ import os
 import sys
 from typing import Sequence
 
-from .bengali import (
-    BENGALI_TABLE,
-    CharTable,
-    load_table_file,
-    segment_graphemes,
-    to_output_stream,
-)
+from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
 from .errors import AbugidaError, ParseError
 from .metrics import (
     DEFAULT_WORD_LENGTH_CHARS,
@@ -37,14 +31,15 @@ from .metrics import (
 from .msd import CostModel, CostMode, TechniqueProfile, msd
 from .sessionio import (
     SessionRecord,
-    corpus_word_length,
+    corpus_totals,
     load_phrase_set,
+    load_table_file,
     parse_session_log,
     parse_technique_profile,
     write_analysis_report,
     write_compare_report,
 )
-from .streams import replay_transcription
+from .streams import replay_matches, replay_transcription
 
 __all__ = ["main"]
 
@@ -60,10 +55,6 @@ class _Exit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 def _read_file(path: str) -> bytes:
@@ -99,35 +90,37 @@ def _load_table() -> CharTable:
 
 
 def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
-    """Load one profile file or every *.json in a directory."""
-    if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
-        paths = [os.path.join(path, n) for n in names]
-        if not paths:
-            raise ParseError(f"no profile files in {path}")
-    else:
+    """Load one profile file or every *.json in a directory.
+
+    Every failure exits 2, naming the file or directory at fault.
+    """
+    where = path
+    try:
         paths = [path]
-    profiles: dict[str, TechniqueProfile] = {}
-    for p in paths:
-        profile = parse_technique_profile(_read_file(p), table)
-        if profile.technique_id in profiles:
-            raise ParseError(
-                f"duplicate profile for technique {profile.technique_id!r}")
-        profiles[profile.technique_id] = profile
+        if os.path.isdir(path):
+            paths = [os.path.join(path, n) for n in sorted(os.listdir(path))
+                     if n.endswith(".json")]
+            if not paths:
+                raise ParseError("no profile files")
+        profiles: dict[str, TechniqueProfile] = {}
+        for where in paths:
+            profile = parse_technique_profile(_read_file(where), table)
+            if profile.technique_id in profiles:
+                raise ParseError(
+                    f"duplicate profile for technique {profile.technique_id!r}")
+            profiles[profile.technique_id] = profile
+    except OSError as err:  # its message names the file
+        raise _Exit(EXIT_PROFILES, str(err)) from err
+    except AbugidaError as err:
+        raise _Exit(EXIT_PROFILES, f"{where}: {err}") from err
     return profiles
 
 
 def _load_study(args: argparse.Namespace, table: CharTable
                 ) -> tuple[dict[str, TechniqueProfile], list[SessionRecord]]:
     """Profiles and sessions of a log command, every technique resolved."""
-    try:
-        profiles = _load_profiles(args.profiles, table)
-    except (AbugidaError, OSError) as err:
-        raise _Exit(EXIT_PROFILES, str(err)) from err
-    try:
-        records = parse_session_log(_read_file(args.log), table)
-    except (AbugidaError, OSError) as err:
-        raise _Exit(EXIT_INPUT, str(err)) from err
+    profiles = _load_profiles(args.profiles, table)
+    records = parse_session_log(_read_file(args.log), table)
     if not records:
         raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
     missing = sorted({r.technique_id for r in records} - set(profiles))
@@ -194,22 +187,16 @@ def _cmd_msd(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
 
 
 def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
-    try:
-        phrase_set = load_phrase_set(_read_file(args.phrases), args.phrases, table)
-        average = corpus_word_length(phrase_set, table)
-    except (AbugidaError, OSError) as err:
-        raise _Exit(EXIT_INPUT, str(err)) from err
-    total_chars = sum(to_output_stream(p, table).length
-                      for p in phrase_set.phrases)
-    total_words = sum(len(p.split()) for p in phrase_set.phrases)
-    lines = [
+    phrase_set = load_phrase_set(_read_file(args.phrases), args.phrases, table)
+    total_chars, total_words = corpus_totals(phrase_set, table)
+    average = total_chars / total_words
+    return EXIT_OK, _text([
         f"phrases\t{len(phrase_set.phrases)}",
         f"words\t{total_words}",
         f"stream_chars\t{total_chars}",
         f"avg_word_length_chars\t{average:.4f}",
         f"delta_vs_default\t{average - DEFAULT_WORD_LENGTH_CHARS:+.4f}",
-    ]
-    return EXIT_OK, _text(lines)
+    ])
 
 
 def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
@@ -224,7 +211,7 @@ def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> tuple[int, 
             lines.append(f"{record.session_id}\tERROR\t{err}")
             clean = False
             continue
-        if replayed == record.transcribed:
+        if replay_matches(replayed, record.transcribed, table):
             lines.append(f"{record.session_id}\tMATCH")
         else:
             lines.append(f"{record.session_id}\tMISMATCH\treplayed "
@@ -260,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_WORD_LENGTH_CHARS, metavar="CHARS",
                        help="average word length in constituent characters "
                             f"(default {DEFAULT_WORD_LENGTH_CHARS})")
-        p.add_argument("--msd-cost-mode", choices=("paper", "normalized"),
-                       default="paper",
-                       help="unit operation pricing (default paper: 1/n)")
 
     p = sub.add_parser("analyze", help="compute per-technique metrics from a log")
     add_study_args(p)
@@ -283,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phrase_b", metavar="B")
     p.add_argument("--profile", metavar="FILE",
                    help="technique profile enabling whole-unit operations")
-    p.add_argument("--msd-cost-mode", choices=("paper", "normalized"),
-                   default="paper")
     p.set_defaults(func=_cmd_msd)
 
     p = sub.add_parser("corpus-stats",
@@ -303,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_args(p)
     p.set_defaults(func=_cmd_validate_log)
 
+    for name in ("analyze", "msd", "compare-naive"):
+        sub.choices[name].add_argument(
+            "--msd-cost-mode", choices=("paper", "normalized"), default="paper",
+            help="unit operation pricing (default paper: 1/n)")
     for p in sub.choices.values():  # main writes every command's output
         p.add_argument("--out", metavar="FILE",
                        help="write output here instead of stdout")
@@ -320,12 +306,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             open(args.out, "ab").close()
         code, data = args.func(args, _load_table())
         _emit(data, args.out)
-    except _Exit as err:
-        _fail(str(err))
-        return err.code
-    except (AbugidaError, OSError) as err:  # bad input, or --out unwritable
-        _fail(str(err))
-        return EXIT_INPUT
+    except (_Exit, AbugidaError, OSError) as err:  # OSError: bad path or --out
+        print(f"error: {err}", file=sys.stderr)
+        return err.code if isinstance(err, _Exit) else EXIT_INPUT
     return code
 
 

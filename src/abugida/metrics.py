@@ -44,7 +44,12 @@ from .errors import (
     ZeroDurationError,
 )
 from .msd import CostMode, CostModel, TechniqueProfile, align_symbols, msd
-from .streams import build_input_stream, replay_events, session_duration_s
+from .streams import (
+    build_input_stream,
+    replay_events,
+    replay_matches,
+    session_duration_s,
+)
 
 if TYPE_CHECKING:
     from .sessionio import SessionRecord
@@ -219,7 +224,7 @@ def _evaluate(session: "SessionRecord",
     inf = session.inf_override if session.inf_override is not None else alignment.inf
 
     replay = replay_events(stream, profile, table)
-    if replay.text != session.transcribed:
+    if not replay_matches(replay.text, session.transcribed, table):
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "
             f"{session.transcribed!r}")

@@ -57,6 +57,8 @@ class CostMode(str, Enum):
 class TechniqueProfile:
     """How a text-entry technique maps actions to constituent characters.
 
+    ``atomic_units`` are canonical text, as the profile parser makes
+    them: replay compares unit payloads with them as they are.
     ``unit_keys`` names the keys that commit each declared unit.  The
     profile parser checks that every payload is a declared unit, but it
     is metadata only: replay and alignment never read it.

@@ -1,4 +1,5 @@
-"""On-disk formats: session logs, technique profiles, phrase sets, reports.
+"""On-disk formats: session logs, technique profiles, phrase sets,
+classification tables, reports.
 
 Session logs are JSON Lines, one session per line:
 
@@ -8,14 +9,16 @@ Session logs are JSON Lines, one session per line:
 
 Technique profiles are single JSON objects declaring atomic units, the
 unit-key mapping, and backspace granularity.  Phrase sets are plain
-UTF-8 text, one phrase per line, ``#`` comments allowed.  Reports are
-CSV (RFC 4180, CRLF line endings) or JSON.
+UTF-8 text, one phrase per line, ``#`` comments allowed.  Classification
+tables are UTF-8 record files (see :meth:`CharTable.from_lines`).
+Reports are CSV (RFC 4180, CRLF line endings) or JSON.
 
 Parsing is strict: unknown fields, unknown event kinds, wrong payload
-shapes, and non-integer timestamps are rejected with the line and field
-named, so malformed logs fail loudly instead of skewing results.  All
-text is normalized on the way in.  Out-of-order events are sorted with
-a warning rather than rejected; loggers never write to stdout.
+shapes, non-integer timestamps and repeated session ids are rejected
+with the line and field named, so malformed logs fail loudly instead of
+skewing results.  All text is normalized on the way in.  Out-of-order
+events are sorted with a warning rather than rejected; loggers never
+write to stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass, fields
-from typing import IO, TYPE_CHECKING, Sequence, Union
+from typing import IO, TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
 from .errors import (
@@ -50,6 +53,8 @@ __all__ = [
     "parse_technique_profile",
     "write_technique_profile",
     "load_phrase_set",
+    "load_table_file",
+    "corpus_totals",
     "corpus_word_length",
     "write_report",
     "write_per_session_report",
@@ -91,10 +96,34 @@ class PhraseSet:
     source: str = ""
 
 
-def _read_bytes(data: Source) -> bytes:
-    if isinstance(data, (bytes, bytearray)):
-        return bytes(data)
-    return data.read()
+def _read_bytes(data: Source) -> bytes | bytearray:
+    return data if isinstance(data, (bytes, bytearray)) else data.read()
+
+
+def _decode(raw: bytes, where: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise EncodingError(f"{where}: {err}") from err
+
+
+def _load_json(text: str, lineno: int | None) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid JSON: {err.msg}", line=lineno) from err
+
+
+def _object(obj: object, allowed: frozenset, lineno: int | None,
+            field: str | None) -> dict:
+    """``obj`` as a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", line=lineno, field=field)
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ParseError(f"unknown field {sorted(unknown)[0]!r}",
+                         line=lineno, field=field)
+    return obj
 
 
 def _norm(text: str, table: CharTable, lineno: int | None, field: str) -> str:
@@ -104,29 +133,28 @@ def _norm(text: str, table: CharTable, lineno: int | None, field: str) -> str:
         raise ParseError(str(err), line=lineno, field=field) from err
 
 
-def _require_str(obj: dict, key: str, lineno: int | None, field: str) -> str:
+def _require_str(obj: dict, key: str, lineno: int | None,
+                 nonempty: bool = False) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
-        raise ParseError("expected a string", line=lineno, field=field)
+        raise ParseError("expected a string", line=lineno, field=key)
+    if nonempty and not value:
+        raise ParseError("must not be empty", line=lineno, field=key)
     return value
 
 
-def _parse_event(obj: object, index: int, lineno: int | None,
+def _non_negative_int(value: object, lineno: int, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError("expected a non-negative integer", line=lineno,
+                         field=field)
+    return value
+
+
+def _parse_event(obj: object, index: int, lineno: int,
                  table: CharTable) -> KeyEvent:
     where = f"events[{index}]"
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", line=lineno, field=where)
-    unknown = set(obj) - _EVENT_FIELDS
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]!r}",
-                         line=lineno, field=where)
-    t = obj.get("t")
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise ParseError("timestamp must be an integer", line=lineno,
-                         field=f"{where}.t")
-    if t < 0:
-        raise ParseError("timestamp must be non-negative", line=lineno,
-                         field=f"{where}.t")
+    _object(obj, _EVENT_FIELDS, lineno, where)
+    t = _non_negative_int(obj.get("t"), lineno, f"{where}.t")
     k = obj.get("k")
     if not isinstance(k, str) or k not in _EVENT_KINDS:
         raise ParseError(
@@ -153,35 +181,20 @@ def _parse_event(obj: object, index: int, lineno: int | None,
 
 
 def _parse_record(obj: object, lineno: int, table: CharTable) -> SessionRecord:
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object", line=lineno)
-    unknown = set(obj) - _RECORD_FIELDS
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]!r}", line=lineno)
-    session_id = _require_str(obj, "session_id", lineno, "session_id")
-    technique_id = _require_str(obj, "technique_id", lineno, "technique_id")
-    participant_id = _require_str(obj, "participant_id", lineno, "participant_id")
-    if not session_id:
-        raise ParseError("must not be empty", line=lineno, field="session_id")
-    if not technique_id:
-        raise ParseError("must not be empty", line=lineno, field="technique_id")
-    presented = _norm(_require_str(obj, "presented", lineno, "presented"),
+    _object(obj, _RECORD_FIELDS, lineno, None)
+    session_id = _require_str(obj, "session_id", lineno, nonempty=True)
+    technique_id = _require_str(obj, "technique_id", lineno, nonempty=True)
+    participant_id = _require_str(obj, "participant_id", lineno)
+    presented = _norm(_require_str(obj, "presented", lineno),
                       table, lineno, "presented")
-    transcribed = _norm(_require_str(obj, "transcribed", lineno, "transcribed"),
+    transcribed = _norm(_require_str(obj, "transcribed", lineno),
                         table, lineno, "transcribed")
     inf_override = obj.get("inf_override")
     if inf_override is not None:
-        if isinstance(inf_override, bool) or not isinstance(inf_override, int):
-            raise ParseError("must be an integer or null", line=lineno,
-                             field="inf_override")
-        if inf_override < 0:
-            raise ParseError("must be non-negative", line=lineno,
-                             field="inf_override")
+        _non_negative_int(inf_override, lineno, "inf_override")
     raw_events = obj.get("events")
-    if not isinstance(raw_events, list):
-        raise ParseError("expected a list", line=lineno, field="events")
-    if not raw_events:
-        raise ParseError("must not be empty", line=lineno, field="events")
+    if not isinstance(raw_events, list) or not raw_events:
+        raise ParseError("expected a non-empty list", line=lineno, field="events")
     events = [_parse_event(e, i, lineno, table)
               for i, e in enumerate(raw_events)]
     if any(b.t_ms < a.t_ms for a, b in zip(events, events[1:])):
@@ -201,20 +214,23 @@ def _parse_record(obj: object, lineno: int, table: CharTable) -> SessionRecord:
 
 def parse_session_log(data: Source,
                       table: CharTable = BENGALI_TABLE) -> list[SessionRecord]:
-    """Parse a JSON Lines session log.  Blank lines are skipped."""
+    """Parse a JSON Lines session log.  Blank lines are skipped.
+
+    A session id may appear once; a repeat raises :class:`ParseError`
+    naming both lines.
+    """
     records: list[SessionRecord] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(_read_bytes(data).splitlines(), start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise EncodingError(f"line {lineno}: {err}") from err
+        text = _decode(raw, f"line {lineno}")
         if not text.strip():
             continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"invalid JSON: {err.msg}", line=lineno) from err
-        records.append(_parse_record(obj, lineno, table))
+        record = _parse_record(_load_json(text, lineno), lineno, table)
+        first = first_line.setdefault(record.session_id, lineno)
+        if first != lineno:
+            raise ParseError(f"session id {record.session_id!r} already used "
+                             f"on line {first}", line=lineno, field="session_id")
+        records.append(record)
     return records
 
 
@@ -246,23 +262,9 @@ def parse_technique_profile(data: Source,
     characters (:class:`InvalidUnitError` otherwise), and every unit-key
     payload must be one of the declared units.
     """
-    raw = _read_bytes(data)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise EncodingError(str(err)) from err
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object")
-    unknown = set(obj) - _PROFILE_FIELDS
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]!r}")
-    technique_id = _require_str(obj, "technique_id", None, "technique_id")
-    if not technique_id:
-        raise ParseError("must not be empty", field="technique_id")
+    text = _decode(_read_bytes(data), "technique profile")
+    obj = _object(_load_json(text, None), _PROFILE_FIELDS, None, None)
+    technique_id = _require_str(obj, "technique_id", None, nonempty=True)
 
     raw_units = obj.get("atomic_units", [])
     if not isinstance(raw_units, list) or any(not isinstance(u, str) for u in raw_units):
@@ -290,8 +292,7 @@ def parse_technique_profile(data: Source,
         unit_keys[name] = norm
 
     granularity = obj.get("backspace_granularity", "basic")
-    if granularity not in (BackspaceGranularity.BASIC.value,
-                           BackspaceGranularity.UNIT.value):
+    if granularity not in [g.value for g in BackspaceGranularity]:
         raise ParseError(f"expected 'basic' or 'unit', got {granularity!r}",
                          field="backspace_granularity")
     return TechniqueProfile(
@@ -316,13 +317,8 @@ def write_technique_profile(profile: TechniqueProfile) -> bytes:
 def load_phrase_set(data: Source, source: str = "",
                     table: CharTable = BENGALI_TABLE) -> PhraseSet:
     """Load a phrase set: one phrase per line, ``#`` comments, blanks skipped."""
-    raw = _read_bytes(data)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise EncodingError(f"{source or 'phrase set'}: {err}") from err
     phrases = []
-    for line in text.splitlines():
+    for line in _decode(_read_bytes(data), source or "phrase set").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -332,41 +328,80 @@ def load_phrase_set(data: Source, source: str = "",
     return PhraseSet(tuple(phrases), source)
 
 
+def load_table_file(path: str) -> CharTable:
+    """Load a classification table from a UTF-8 record file."""
+    with open(path, "rb") as fh:
+        return CharTable.from_lines(_decode(fh.read(), path).splitlines())
+
+
+def corpus_totals(phrase_set: PhraseSet,
+                  table: CharTable = BENGALI_TABLE) -> tuple[int, int]:
+    """Constituent characters, whitespace included, and words of a corpus.
+
+    Words are maximal non-whitespace runs.  Raises
+    :class:`EmptyCorpusError` for a corpus with no words.
+    """
+    chars = sum(to_output_stream(p, table).length for p in phrase_set.phrases)
+    words = sum(len(p.split()) for p in phrase_set.phrases)
+    if words == 0:
+        raise EmptyCorpusError(
+            f"phrase set {phrase_set.source or '<memory>'} has no words")
+    return chars, words
+
+
 def corpus_word_length(phrase_set: PhraseSet,
                        table: CharTable = BENGALI_TABLE) -> float:
     """Mean word length in constituent characters, whitespace included.
 
     Counting spaces follows the words-per-minute convention where a
-    word is a fixed span of the character stream.  Words are maximal
-    non-whitespace runs.  Raises :class:`EmptyCorpusError` for a corpus
-    with no words.
+    word is a fixed span of the character stream.  Raises
+    :class:`EmptyCorpusError` for a corpus with no words.
     """
-    total_chars = 0
-    total_words = 0
-    for phrase in phrase_set.phrases:
-        total_chars += to_output_stream(phrase, table).length
-        total_words += len(phrase.split())
-    if total_words == 0:
-        raise EmptyCorpusError(
-            f"phrase set {phrase_set.source or '<memory>'} has no words")
+    total_chars, total_words = corpus_totals(phrase_set, table)
     return total_chars / total_words
 
 
-def _metric_cell(metric: str, value: float) -> str:
-    if metric in RATE_FIELDS:
-        return f"{value:.2f}%"
-    return f"{value:.2f}"
+class _Metric(NamedTuple):
+    """A report cell holding the value of the metric ``name``."""
+
+    name: str
+    value: float
 
 
-def _csv_bytes(rows: Sequence[Sequence[str]]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+def _csv_cell(value: object) -> str:
+    if isinstance(value, _Metric):
+        suffix = "%" if value.name in RATE_FIELDS else ""
+        return f"{value.value:.2f}{suffix}"
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _json_bytes(payload: object) -> bytes:
-    return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+_Table = tuple[Sequence[str], Sequence[dict]]
+
+
+def _render(tables: dict[str, _Table], fmt: str) -> bytes:
+    """Render tables of rows keyed by their columns, in order.
+
+    CSV separates tables by a blank line.  JSON gives one table as a list
+    of rows and several as an object keyed by table name.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        for n, (columns, rows) in enumerate(tables.values()):
+            if n:
+                writer.writerow([])
+            writer.writerow(columns)
+            writer.writerows([_csv_cell(v) for v in r.values()] for r in rows)
+        return buf.getvalue().encode("utf-8")
+    if fmt == "json":
+        payload = {name: [{k: round(v.value, 2) if isinstance(v, _Metric) else v
+                           for k, v in r.items()} for r in rows]
+                   for name, (_, rows) in tables.items()}
+        if len(payload) == 1:
+            payload, = payload.values()
+        return (json.dumps(payload, ensure_ascii=False, indent=2)
+                + "\n").encode("utf-8")
+    raise ValueError(f"unknown report format {fmt!r}")
 
 
 _SUMMARY_COLUMNS = ("technique", *METRIC_FIELDS, "n_sessions")
@@ -377,45 +412,24 @@ _SESSION_COLUMNS = (
     *(f.name for f in fields(SessionIntermediates)),
 )
 
-
-def _summary_rows(summaries: "Sequence[TechniqueSummary]") -> list[dict]:
-    return [{"technique": s.technique_id,
-             **{m: s.means[m] for m in METRIC_FIELDS},
-             "n_sessions": s.n_sessions}
-            for s in sorted(summaries, key=lambda s: s.technique_id)]
+_COMPARE_COLUMNS = ("technique", "metric", "proposed", "naive", "delta")
 
 
-def _session_rows(results: "Sequence[SessionMetrics]") -> list[dict]:
-    return [{"session_id": m.session_id, "technique_id": m.technique_id,
-             "participant_id": m.participant_id,
-             **{f: getattr(m, f) for f in METRIC_FIELDS},
-             **vars(m.intermediates)}
-            for m in results]
+def _summary_table(summaries: "Sequence[TechniqueSummary]") -> _Table:
+    return _SUMMARY_COLUMNS, [
+        {"technique": s.technique_id,
+         **{m: _Metric(m, s.means[m]) for m in METRIC_FIELDS},
+         "n_sessions": s.n_sessions}
+        for s in sorted(summaries, key=lambda s: s.technique_id)]
 
 
-def _cell(column: str, value: object) -> str:
-    if column in METRIC_FIELDS:
-        return _metric_cell(column, value)
-    return f"{value:g}" if isinstance(value, float) else str(value)
-
-
-def _rounded(rows: Sequence[dict]) -> list[dict]:
-    return [{k: round(v, 2) if k in METRIC_FIELDS else v for k, v in r.items()}
-            for r in rows]
-
-
-def _table_bytes(columns: Sequence[str], rows: Sequence[dict], fmt: str) -> bytes:
-    """Render rows whose keys are ``columns``, in order.
-
-    CSV prints metrics with two decimals (rates with a % suffix) and
-    other floats with ``:g``; JSON rounds metrics to two decimals.
-    """
-    if fmt == "csv":
-        return _csv_bytes([list(columns),
-                           *([_cell(k, v) for k, v in r.items()] for r in rows)])
-    if fmt == "json":
-        return _json_bytes(_rounded(rows))
-    raise ValueError(f"unknown report format {fmt!r}")
+def _session_table(results: "Sequence[SessionMetrics]") -> _Table:
+    return _SESSION_COLUMNS, [
+        {"session_id": m.session_id, "technique_id": m.technique_id,
+         "participant_id": m.participant_id,
+         **{f: _Metric(f, getattr(m, f)) for f in METRIC_FIELDS},
+         **vars(m.intermediates)}
+        for m in results]
 
 
 def write_report(summaries: "Sequence[TechniqueSummary]",
@@ -427,28 +441,22 @@ def write_report(summaries: "Sequence[TechniqueSummary]",
     the same numbers rounded to two decimals, without suffixes.  Output
     is byte-deterministic for a given input.
     """
-    return _table_bytes(_SUMMARY_COLUMNS, _summary_rows(summaries), fmt)
+    return _render({"summary": _summary_table(summaries)}, fmt)
 
 
 def write_per_session_report(results: "Sequence[SessionMetrics]",
                              fmt: str = "csv") -> bytes:
     """Emit one row per session, metrics plus the audit intermediates."""
-    return _table_bytes(_SESSION_COLUMNS, _session_rows(results), fmt)
+    return _render({"sessions": _session_table(results)}, fmt)
 
 
 def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
                           sessions: "Sequence[SessionMetrics] | None" = None,
                           fmt: str = "csv") -> bytes:
     """Combined output of ``analyze``: optional per-session block, summary."""
-    if sessions is None:
-        return write_report(summaries, fmt)
-    if fmt == "csv":
-        return (write_per_session_report(sessions, fmt) + b"\r\n"
-                + write_report(summaries, fmt))
-    if fmt == "json":
-        return _json_bytes({"sessions": _rounded(_session_rows(sessions)),
-                            "summary": _rounded(_summary_rows(summaries))})
-    raise ValueError(f"unknown report format {fmt!r}")
+    tables = {} if sessions is None else {"sessions": _session_table(sessions)}
+    tables["summary"] = _summary_table(summaries)
+    return _render(tables, fmt)
 
 
 def write_compare_report(proposed: "Sequence[TechniqueSummary]",
@@ -456,28 +464,15 @@ def write_compare_report(proposed: "Sequence[TechniqueSummary]",
                          fmt: str = "csv") -> bytes:
     """Tidy proposed-vs-naive table: one row per technique and metric."""
     naive_by_id = {s.technique_id: s for s in naive}
-    rows_data = []
+    rows = []
     for s in sorted(proposed, key=lambda s: s.technique_id):
         other = naive_by_id.get(s.technique_id)
         if other is None:
             raise ValueError(f"no naive summary for technique {s.technique_id!r}")
         for metric in METRIC_FIELDS:
-            rows_data.append((s.technique_id, metric, s.means[metric],
-                              other.means[metric]))
-    if fmt == "csv":
-        rows = [["technique", "metric", "proposed", "naive", "delta"]]
-        for tid, metric, ours, theirs in rows_data:
-            rows.append([tid, metric,
-                         _metric_cell(metric, ours),
-                         _metric_cell(metric, theirs),
-                         _metric_cell(metric, ours - theirs)])
-        return _csv_bytes(rows)
-    if fmt == "json":
-        payload = [
-            {"technique": tid, "metric": metric,
-             "proposed": round(ours, 2), "naive": round(theirs, 2),
-             "delta": round(ours - theirs, 2)}
-            for tid, metric, ours, theirs in rows_data
-        ]
-        return _json_bytes(payload)
-    raise ValueError(f"unknown report format {fmt!r}")
+            ours, theirs = s.means[metric], other.means[metric]
+            rows.append({"technique": s.technique_id, "metric": metric,
+                         "proposed": _Metric(metric, ours),
+                         "naive": _Metric(metric, theirs),
+                         "delta": _Metric(metric, ours - theirs)})
+    return _render({"compare": (_COMPARE_COLUMNS, rows)}, fmt)

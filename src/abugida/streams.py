@@ -37,6 +37,7 @@ __all__ = [
     "session_duration_s",
     "replay_events",
     "replay_transcription",
+    "replay_matches",
 ]
 
 
@@ -142,10 +143,10 @@ def replay_events(events: Events,
     mode raises :class:`UnknownUnitError` for undeclared unit payloads
     and :class:`ReplayUnderflowError` when backspace finds nothing.
     """
-    unit_texts: set[str] | None = None
+    unit_texts: frozenset[str] | None = None
     per_unit = False
     if profile is not None:
-        unit_texts = {normalize(u, table) for u in profile.atomic_units}
+        unit_texts = profile.atomic_units
         per_unit = profile.backspace_granularity is BackspaceGranularity.UNIT
 
     atoms: list[str] = []
@@ -180,3 +181,14 @@ def replay_transcription(events: Events,
                          table: CharTable = BENGALI_TABLE) -> str:
     """Reconstruct the transcribed text from the events, normalized."""
     return replay_events(events, profile, table).text
+
+
+def replay_matches(replayed: str, transcribed: str,
+                   table: CharTable = BENGALI_TABLE) -> bool:
+    """Whether replayed text reproduces a stored, canonical transcription.
+
+    Replay never yields zero-width controls (ZWJ, ZWNJ and the like), so
+    the transcription's are ignored.
+    """
+    return replayed == transcribed or replayed == normalize(
+        to_output_stream(transcribed, table).text, table)

@@ -111,6 +111,17 @@ class TestAnalyze:
         assert code == 2
         assert "conjunct-key" in err
 
+    def test_bad_profile_named_exit_2(self, capsys, tmp_path, sidebar_log_file):
+        pdir = tmp_path / "profiles"
+        pdir.mkdir()
+        write_json(pdir / "a.json", sidebar_profile_obj())
+        bad = write_json(pdir / "b.json", {"technique_id": "b",
+                                           "atomic_units": ["ক"]})
+        code, _, err = run(capsys, "analyze", sidebar_log_file,
+                           "--profiles", str(pdir))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: atomic unit 'ক'")
+
     def test_replay_failure_exit_1(self, capsys, tmp_path, sidebar_profile_file):
         obj = sidebar_log_obj()
         obj["events"].append({"t": 30000, "k": "edit", "p": ""})
@@ -284,6 +295,18 @@ class TestValidateLog:
                            "--profiles", sidebar_profile_file)
         assert code == 3
         assert out.startswith("s1\tMISMATCH")
+
+    def test_zero_width_control_in_transcription(self, capsys, tmp_path):
+        # Replay drops the ZWJ the log keeps for rendering; both views agree.
+        obj = clean_log_obj(text="র\u200dয")
+        obj["events"] = [{"t": 0, "k": "char", "p": "র\u200d"},
+                         {"t": 500, "k": "char", "p": "য"}]
+        log = write_jsonl(tmp_path / "log.jsonl", [obj])
+        profile = write_json(tmp_path / "p.json", basic_profile_obj())
+        code, out, _ = run(capsys, "validate-log", log, "--profiles", profile)
+        assert (code, out) == (0, "c1\tMATCH\n")
+        code, _, err = run(capsys, "analyze", log, "--profiles", profile)
+        assert (code, err) == (0, "")
 
     def test_edit_keys_reported_per_session(self, capsys, tmp_path,
                                             sidebar_profile_file):

@@ -1,0 +1,44 @@
+"""Report bytes are fixed: every report variant matches a committed file.
+
+``golden/log.jsonl`` holds nine sessions under three profiles in
+``golden/profiles``: a per-codepoint keyboard (basic), conjunct keys
+erased per codepoint (conj-basic) and conjunct keys erased per unit
+(conj-unit).  They cover backspaces after characters and after units,
+uncorrected substitutions, omissions and insertions, an ``inf_override``,
+a held modifier, digits, and the two-cluster unit কান্ড erased and
+retyped.  ``golden/expected`` holds the bytes each command wrote for
+them; any change to parsing, evaluation or rendering that moves a byte
+fails here.  A change meant to move report bytes rewrites these files
+with the command lines in ``VARIANTS`` and explains the diff.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from abugida.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+VARIANTS = {
+    "analyze.csv": ["analyze"],
+    "analyze.json": ["analyze", "--format", "json"],
+    "per_session.csv": ["analyze", "--per-session"],
+    "per_session.json": ["analyze", "--per-session", "--format", "json"],
+    "compare.csv": ["compare-naive"],
+    "compare.json": ["compare-naive", "--format", "json"],
+    "validate.txt": ["validate-log"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_report_bytes(tmp_path, name):
+    command, *flags = VARIANTS[name]
+    out = tmp_path / name
+    code = main([command, str(GOLDEN / "log.jsonl"),
+                 "--profiles", str(GOLDEN / "profiles"), *flags,
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "expected" / name).read_bytes()

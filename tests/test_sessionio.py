@@ -144,6 +144,13 @@ class TestParseSessionLog:
         with pytest.raises(ab.ParseError, match="presented"):
             ab.parse_session_log(data)
 
+    def test_duplicate_session_id_rejected(self):
+        data = log_bytes(sidebar_log_obj("a"), sidebar_log_obj("b"),
+                         sidebar_log_obj("a", "p2"))
+        with pytest.raises(ab.ParseError,
+                           match="line 3, field 'session_id'.*on line 1"):
+            ab.parse_session_log(data)
+
     def test_out_of_order_events_sorted_with_warning(self, caplog):
         obj = sidebar_log_obj()
         obj["events"][0], obj["events"][1] = obj["events"][1], obj["events"][0]
