@@ -122,7 +122,6 @@ class BasicChar:
     """One constituent character of an output stream."""
 
     codepoint: int
-    category: CodepointClass
 
     @property
     def char(self) -> str:
@@ -131,23 +130,19 @@ class BasicChar:
 
 @dataclass(frozen=True)
 class OutputStream:
-    """Flattened constituent-character view of a text."""
+    """A text's constituents, one codepoint each; iterating yields BasicChars."""
 
-    chars: tuple[BasicChar, ...]
+    text: str
 
     @property
     def length(self) -> int:
-        return len(self.chars)
-
-    @property
-    def text(self) -> str:
-        return "".join(c.char for c in self.chars)
+        return len(self.text)
 
     def __len__(self) -> int:
-        return len(self.chars)
+        return len(self.text)
 
     def __iter__(self) -> Iterator[BasicChar]:
-        return iter(self.chars)
+        return (BasicChar(ord(ch)) for ch in self.text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,18 +278,15 @@ def normalize(text: str, table: CharTable = BENGALI_TABLE) -> str:
 def to_output_stream(text: str, table: CharTable = BENGALI_TABLE) -> OutputStream:
     """Flatten ``text`` to its constituent basic characters.
 
-    Normalizes first, drops zero-width controls, and keeps everything
-    else one codepoint per character: conjuncts and composite glyph
+    Drops zero-width controls, normalizes what is left (a control may
+    have kept a composing pair apart, as in ড ZWNJ nukta), and keeps it
+    one codepoint per character: conjuncts and composite glyph
     sequences are fully disjoined, so কান্ড yields the five characters
     ক া ন ্ ড and ক্ষ yields ক ্ ষ.  Whitespace is retained.
     """
-    out: list[BasicChar] = []
-    for ch in normalize(text, table):
-        cls = table.classify(ord(ch))
-        if cls is CodepointClass.ZERO_WIDTH_CONTROL:
-            continue
-        out.append(BasicChar(ord(ch), cls))
-    return OutputStream(tuple(out))
+    return OutputStream(normalize("".join(
+        ch for ch in text
+        if table.classify(ord(ch)) is not CodepointClass.ZERO_WIDTH_CONTROL), table))
 
 
 def recompose(stream: OutputStream) -> str:
@@ -329,7 +321,10 @@ def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[Graph
 
     def flush() -> None:
         if cur:
-            clusters.append(GraphemeCluster("".join(cur), len(eff)))
+            joined = "".join(cur)
+            # Dropping controls may join a composing pair (ড ZWNJ nukta).
+            count = len(to_output_stream(joined, table)) if len(cur) > len(eff) else len(eff)
+            clusters.append(GraphemeCluster(joined, count))
 
     for ch in text:
         cls = table.classify(ord(ch))

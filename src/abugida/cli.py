@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
-from .errors import AbugidaError, ParseError
+from .errors import AbugidaError
 from .metrics import (
     DEFAULT_WORD_LENGTH_CHARS,
     MetricConfig,
@@ -89,30 +89,37 @@ def _load_table() -> CharTable:
         raise _Exit(EXIT_INPUT, f"ABUGIDA_TABLE: {err}") from err
 
 
+def _read_profile(path: str, table: CharTable) -> TechniqueProfile:
+    """Parse one profile file; every failure exits 2, naming the file."""
+    try:
+        return parse_technique_profile(_read_file(path), table)
+    except OSError as err:  # its message names the file
+        raise _Exit(EXIT_PROFILES, str(err)) from err
+    except AbugidaError as err:
+        raise _Exit(EXIT_PROFILES, f"{path}: {err}") from err
+
+
 def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
     """Load one profile file or every *.json in a directory.
 
     Every failure exits 2, naming the file or directory at fault.
     """
-    where = path
-    try:
-        paths = [path]
-        if os.path.isdir(path):
-            paths = [os.path.join(path, n) for n in sorted(os.listdir(path))
-                     if n.endswith(".json")]
-            if not paths:
-                raise ParseError("no profile files")
-        profiles: dict[str, TechniqueProfile] = {}
-        for where in paths:
-            profile = parse_technique_profile(_read_file(where), table)
-            if profile.technique_id in profiles:
-                raise ParseError(
-                    f"duplicate profile for technique {profile.technique_id!r}")
-            profiles[profile.technique_id] = profile
-    except OSError as err:  # its message names the file
-        raise _Exit(EXIT_PROFILES, str(err)) from err
-    except AbugidaError as err:
-        raise _Exit(EXIT_PROFILES, f"{where}: {err}") from err
+    paths = [path]
+    if os.path.isdir(path):
+        try:
+            names = sorted(os.listdir(path))
+        except OSError as err:
+            raise _Exit(EXIT_PROFILES, str(err)) from err
+        paths = [os.path.join(path, n) for n in names if n.endswith(".json")]
+        if not paths:
+            raise _Exit(EXIT_PROFILES, f"{path}: no profile files")
+    profiles: dict[str, TechniqueProfile] = {}
+    for where in paths:
+        profile = _read_profile(where, table)
+        if profile.technique_id in profiles:
+            raise _Exit(EXIT_PROFILES, f"{where}: duplicate profile for "
+                        f"technique {profile.technique_id!r}")
+        profiles[profile.technique_id] = profile
     return profiles
 
 
@@ -163,19 +170,14 @@ def _cmd_decompose(args: argparse.Namespace, table: CharTable) -> tuple[int, byt
         lines.append(f"clusters\t{len(clusters)}")
     else:
         stream = to_output_stream(args.text, table)
-        lines = [f"{b.char}\tU+{b.codepoint:04X}\t{b.category.value}"
-                 for b in stream]
+        lines = [f"{ch}\tU+{ord(ch):04X}\t{table.classify(ord(ch)).value}"
+                 for ch in stream.text]
         lines.append(f"length\t{stream.length}")
     return EXIT_OK, _text(lines)
 
 
 def _cmd_msd(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
-    profile = None
-    if args.profile:
-        try:
-            profile = parse_technique_profile(_read_file(args.profile), table)
-        except (AbugidaError, OSError) as err:
-            raise _Exit(EXIT_PROFILES, str(err)) from err
+    profile = _read_profile(args.profile, table) if args.profile else None
     a = to_output_stream(args.phrase_a, table)
     b = to_output_stream(args.phrase_b, table)
     result = msd(a, b, profile, CostModel(CostMode(args.msd_cost_mode)), table)

@@ -24,7 +24,6 @@ conjuncts pull the naive lengths down and distort rates.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -292,8 +291,8 @@ def naive_metrics(session: "SessionRecord",
 def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:
     """Group sessions by technique and summarize each metric.
 
-    Means use every session in the group.  Values are sorted before
-    summing so the result is identical under any permutation of the
+    Means use every session in the group.  ``math.fsum`` rounds the sum
+    correctly, so the result is identical under any permutation of the
     input, and techniques come out in lexicographic order.
     """
     if not results:
@@ -304,7 +303,7 @@ def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:
     out: list[TechniqueSummary] = []
     for technique_id in sorted(groups):
         rows = groups[technique_id]
-        means = {metric: statistics.fmean(sorted(getattr(r, metric) for r in rows))
+        means = {metric: math.fsum(getattr(r, metric) for r in rows) / len(rows)
                  for metric in METRIC_FIELDS}
         out.append(TechniqueSummary(technique_id, len(rows), means))
     return out

@@ -143,27 +143,23 @@ class AlignmentResult:
 
 
 def _unit_symbol_seqs(profile: TechniqueProfile | None,
-                      table: CharTable) -> list[tuple[str, ...]]:
-    """Decompose declared units to symbol tuples, longest first."""
+                      table: CharTable) -> list[str]:
+    """Flatten declared units to output-stream text, longest first."""
     if profile is None:
         return []
-    seqs = set()
-    for unit in profile.atomic_units:
-        stream = to_output_stream(unit, table)
-        if stream.length >= 2:
-            seqs.add(tuple(c.char for c in stream))
-    return sorted(seqs, key=lambda s: (-len(s), s))
+    seqs = {to_output_stream(unit, table).text for unit in profile.atomic_units}
+    return sorted((s for s in seqs if len(s) >= 2), key=lambda s: (-len(s), s))
 
 
 def _greedy_unit_ends(symbols: Sequence[str],
-                      unit_seqs: Sequence[tuple[str, ...]]) -> dict[int, int]:
+                      unit_seqs: Sequence[Sequence[str]]) -> dict[int, int]:
     """Greedy leftmost-longest pass; maps segment end index to unit length."""
     ends: dict[int, int] = {}
     i, n = 0, len(symbols)
     while i < n:
         for seq in unit_seqs:  # longest first
             k = len(seq)
-            if i + k <= n and tuple(symbols[i:i + k]) == seq:
+            if i + k <= n and symbols[i:i + k] == seq:
                 ends[i + k] = k
                 i += k
                 break
@@ -181,7 +177,7 @@ def atomic_unit_segment(stream: OutputStream,
     matches wins; otherwise one character becomes its own segment.  The
     segments concatenate back to the stream.
     """
-    symbols = tuple(c.char for c in stream)
+    symbols = stream.text
     ends = _greedy_unit_ends(symbols, _unit_symbol_seqs(profile, table))
     starts = {end - k: end for end, k in ends.items()}
     segments: list[Segment] = []
@@ -189,7 +185,7 @@ def atomic_unit_segment(stream: OutputStream,
     while i < len(symbols):
         end = starts.get(i)
         if end is not None:
-            segments.append(Segment(i, end, "".join(symbols[i:end]), True))
+            segments.append(Segment(i, end, symbols[i:end], True))
             i = end
         else:
             segments.append(Segment(i, i + 1, symbols[i], False))
@@ -289,9 +285,7 @@ def msd(a: OutputStream,
     exactly when the streams are identical, and never exceeds
     ``max(len(a), len(b))``.
     """
-    sym_a = tuple(c.char for c in a)
-    sym_b = tuple(c.char for c in b)
     unit_seqs = _unit_symbol_seqs(profile, table)
-    ua = _greedy_unit_ends(sym_a, unit_seqs)
-    ub = _greedy_unit_ends(sym_b, unit_seqs)
-    return align_symbols(sym_a, sym_b, ua, ub, cost)
+    ua = _greedy_unit_ends(a.text, unit_seqs)
+    ub = _greedy_unit_ends(b.text, unit_seqs)
+    return align_symbols(a.text, b.text, ua, ub, cost)

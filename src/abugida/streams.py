@@ -153,15 +153,15 @@ def replay_events(events: Events,
     erased: list[str] = []
     for ev in _event_list(events):
         if ev.kind is KeyEventKind.CHAR:
-            atoms.extend(c.char for c in to_output_stream(ev.payload, table))
+            atoms.extend(to_output_stream(ev.payload, table).text)
         elif ev.kind is KeyEventKind.UNIT:
             text = normalize(ev.payload, table)
             if unit_texts is not None and text not in unit_texts:
                 raise UnknownUnitError(
                     f"unit payload {text!r} not declared by the profile")
-            chars = [c.char for c in to_output_stream(text, table)]
+            chars = to_output_stream(text, table).text
             if per_unit:
-                atoms.append("".join(chars))
+                atoms.append(chars)
             else:
                 atoms.extend(chars)
         elif ev.kind is KeyEventKind.BACKSPACE:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import abugida as ab
 from abugida import CodepointClass as CC
+from abugida.bengali import ZERO_WIDTH_CONTROLS
 
 # Sampling alphabet: the whole Bengali block (assigned or not) plus the
 # joiners and a couple of separators.
@@ -100,8 +101,8 @@ class TestNormalize:
 class TestOutputStream:
     def test_conjunct_word_flattens_to_five(self):
         stream = ab.to_output_stream("কান্ড")
-        assert [c.codepoint for c in stream] == [0x0995, 0x09BE, 0x09A8, 0x09CD, 0x09A1]
-        assert [c.category for c in stream] == [
+        assert [ord(ch) for ch in stream.text] == [0x0995, 0x09BE, 0x09A8, 0x09CD, 0x09A1]
+        assert [ab.classify_codepoint(ord(ch)) for ch in stream.text] == [
             CC.CONSONANT, CC.DEPENDENT_VOWEL_SIGN, CC.CONSONANT,
             CC.VIRAMA, CC.CONSONANT,
         ]
@@ -119,10 +120,26 @@ class TestOutputStream:
     def test_two_part_vowel_is_one_char(self):
         stream = ab.to_output_stream("কো")
         assert stream.length == 2
-        assert stream.chars[1].codepoint == 0x09CB
+        assert ord(stream.text[1]) == 0x09CB
 
     def test_zero_width_controls_dropped(self):
         assert ab.to_output_stream("র‍্য").length == 3
+
+    def test_text_is_normalized_text_without_zero_width_controls(self):
+        for text in ("র\u200d্য", "কে\u09be", "ড\u09bc\u200cক\ufeff"):
+            expected = "".join(ch for ch in ab.normalize(text)
+                               if ord(ch) not in ZERO_WIDTH_CONTROLS)
+            assert ab.to_output_stream(text).text == expected
+        assert ab.to_output_stream("র\u200d্য").text == "র্য"
+
+    @pytest.mark.parametrize("text, flat", [("ড\u200c\u09bc", "\u09dc"),
+                                            ("কে\u200dা", "কো")])
+    def test_control_inside_composing_pair(self, text, flat):
+        stream = ab.to_output_stream(text)
+        assert stream.text == flat
+        assert ab.to_output_stream(ab.recompose(stream)) == stream
+        clusters = ab.segment_graphemes(text)
+        assert [c.constituent_count for c in clusters] == [len(flat)]
 
     def test_whitespace_retained(self):
         assert ab.to_output_stream("অ আ").length == 3

@@ -229,6 +229,15 @@ class TestMsdCommand:
         bad.write_text("{}")
         code, _, err = run(capsys, "msd", "aa", "bb", "--profile", str(bad))
         assert code == 2
+        assert err.startswith(f"error: {bad}: ")
+        unit = write_json(tmp_path / "b.json", {"technique_id": "b",
+                                                "atomic_units": ["ক"]})
+        code, _, err = run(capsys, "msd", "ক", "খ", "--profile", str(unit))
+        assert code == 2
+        assert err.startswith(f"error: {unit}: atomic unit 'ক'")
+        code, _, err = run(capsys, "msd", "ক", "খ", "--profile", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
 
 
 class TestCorpusStats:

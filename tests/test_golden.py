@@ -14,6 +14,7 @@ with the command lines in ``VARIANTS`` and explains the diff.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,18 @@ def test_report_bytes(tmp_path, name):
                  "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "expected" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["analyze.csv", "compare.csv"])
+def test_summary_bytes_ignore_log_order(tmp_path, name):
+    lines = (GOLDEN / "log.jsonl").read_bytes().splitlines(keepends=True)
+    rng = random.Random(7)
+    for trial in range(4):
+        rng.shuffle(lines)
+        log = tmp_path / f"log{trial}.jsonl"
+        log.write_bytes(b"".join(lines))
+        out = tmp_path / f"{trial}-{name}"
+        code = main([*VARIANTS[name], str(log),
+                     "--profiles", str(GOLDEN / "profiles"), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "expected" / name).read_bytes()

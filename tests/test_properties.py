@@ -95,3 +95,14 @@ def test_views_agree_when_every_cluster_is_one_codepoint(granularity, data):
     record, profile = data.draw(
         typed_sessions(granularity, chars=SINGLE, units=()))
     assert ab.naive_metrics(record, profile) == ab.analyze_session(record, profile)
+
+
+@pytest.mark.parametrize("view", [ab.analyze_session, ab.naive_metrics])
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_msd_is_bounded_and_zero_only_on_equal_text(view, granularity, data):
+    record, profile = data.draw(typed_sessions(granularity))
+    m = view(record, profile).intermediates
+    assert 0 <= m.msd <= max(m.os_p_length, m.os_t_length)
+    assert (m.msd == 0) == (record.presented == record.transcribed)
