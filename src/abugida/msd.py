@@ -14,13 +14,25 @@ unit, so the dynamic program stays a standard weighted alignment with a
 few extra transitions.  Ties are broken deterministically: match over
 substitute over delete over insert, and basic-character transitions
 over unit transitions.
+
+:func:`align_symbols` gives the full table's distance, INF and script
+but computes only a band of diagonals around the optimal path (Ukkonen
+1985), sized from a first, narrow pass's cost.  INF is carried forward
+along each cell's argmin, so no table is needed for it, and only the
+last k + 1 rows are kept (k is the longest unit).  The edit script's
+backpointers are stored, for the band only, when ``script=True``; the
+metrics ask for ``script=False``.  Time grows with length times band
+width, not with the product of the lengths, and without a script memory
+grows with length alone.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, OutputStream, to_output_stream
 
@@ -142,24 +154,56 @@ class AlignmentResult:
     inf: int
 
 
+# (atomic units, id(table)) -> (table, flattener, unit strings longest
+# first).  The entry holds the table, so its id cannot be reused while the
+# entry lives, and the flattener that made the strings: rebinding
+# ``to_output_stream`` (a tracer, a test double) starts afresh.
+_UNIT_SEQS: dict[tuple[frozenset[str], int],
+                 tuple[CharTable, Callable[..., OutputStream], tuple[str, ...]]] = {}
+_UNIT_SEQS_MAX = 64
+
+
 def _unit_symbol_seqs(profile: TechniqueProfile | None,
-                      table: CharTable) -> list[str]:
-    """Flatten declared units to output-stream text, longest first."""
+                      table: CharTable) -> tuple[str, ...]:
+    """Declared units as output-stream text, longest first; once per profile."""
     if profile is None:
-        return []
-    seqs = {to_output_stream(unit, table).text for unit in profile.atomic_units}
-    return sorted((s for s in seqs if len(s) >= 2), key=lambda s: (-len(s), s))
+        return ()
+    key = (profile.atomic_units, id(table))
+    entry = _UNIT_SEQS.get(key)
+    if entry is None or entry[1] is not to_output_stream:
+        seqs = {to_output_stream(unit, table).text for unit in profile.atomic_units}
+        ordered = tuple(sorted((s for s in seqs if len(s) >= 2),
+                               key=lambda s: (-len(s), s)))
+        if len(_UNIT_SEQS) >= _UNIT_SEQS_MAX:
+            _UNIT_SEQS.clear()
+        entry = _UNIT_SEQS[key] = (table, to_output_stream, ordered)
+    return entry[2]
+
+
+@functools.lru_cache(maxsize=_UNIT_SEQS_MAX)
+def _units_by_first(unit_seqs: tuple[Sequence[str], ...]
+                    ) -> dict[str, tuple[Sequence[str], ...]]:
+    """The units grouped by their first symbol, each group in input order."""
+    index: dict[str, list[Sequence[str]]] = {}
+    for seq in unit_seqs:
+        index.setdefault(seq[0], []).append(seq)
+    return {first: tuple(group) for first, group in index.items()}
 
 
 def _greedy_unit_ends(symbols: Sequence[str],
                       unit_seqs: Sequence[Sequence[str]]) -> dict[int, int]:
-    """Greedy leftmost-longest pass; maps segment end index to unit length."""
+    """Greedy leftmost-longest pass; maps segment end index to unit length.
+
+    ``unit_seqs`` come longest first; only the units that start with the
+    symbol at hand are tried.
+    """
+    by_first = _units_by_first(tuple(unit_seqs))
     ends: dict[int, int] = {}
     i, n = 0, len(symbols)
     while i < n:
-        for seq in unit_seqs:  # longest first
+        for seq in by_first.get(symbols[i], ()):
             k = len(seq)
-            if i + k <= n and symbols[i:i + k] == seq:
+            if symbols[i:i + k] == seq:
                 ends[i + k] = k
                 i += k
                 break
@@ -193,99 +237,201 @@ def atomic_unit_segment(stream: OutputStream,
     return segments
 
 
+_INF = float("inf")
+# Stands before b[0]: equal to no symbol, so column 0 has no diagonal step.
+_NO_SYMBOL = object()
+_MATCH = (EditOpKind.MATCH, 1, 1, 0.0)
+_SUBSTITUTE = (EditOpKind.SUBSTITUTE, 1, 1, 1.0)
+_DELETE = (EditOpKind.DELETE, 1, 0, 1.0)
+_INSERT = (EditOpKind.INSERT, 0, 1, 1.0)
+# The first pass keeps this many diagonals on each side of [0, n - m].
+_NARROW = 4
+# Relative slack on the band's cost bound, far above float rounding.
+_SLACK = 1e-9
+
+_Op = tuple[EditOpKind, int, int, float]
+
+
+def _checked_units(units: Mapping[int, int] | None, length: int,
+                   side: str) -> dict[int, int]:
+    checked = dict(units or {})
+    for end, k in checked.items():
+        if not 1 <= k <= end <= length:
+            raise ValueError(f"{side}: a unit of length {k} cannot end at "
+                             f"{end} in a sequence of {length} symbols")
+    return checked
+
+
+def _cost_per_offset(ua: Mapping[int, int], ub: Mapping[int, int],
+                     cost: CostModel) -> float:
+    """Least cost per diagonal moved, over every transition the maps allow."""
+    lens_a, lens_b = set(ua.values()), set(ub.values())
+    c = 1.0  # basic steps
+    for k in lens_a | lens_b:
+        c = min(c, cost.unit_edit_cost(k) / k)
+    for ka in lens_a:
+        for kb in lens_b - {ka}:
+            c = min(c, cost.unit_substitute_cost(ka, kb) / abs(ka - kb))
+    return c
+
+
+def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
+               ua: Mapping[int, int], ub: Mapping[int, int], cost: CostModel,
+               lo: int, hi: int, script: bool,
+               ) -> tuple[float, int, tuple[EditOp, ...]]:
+    """The DP over the cells with lo <= j - i <= hi; the rest cost INF.
+
+    Rows are indexed by j + 1, so position 0 is an INF column left of the
+    table.  Only the last k + 1 rows are kept (k is the longest unit),
+    each with the INF count carried along its cell's argmin; with
+    ``script`` the band's ops are kept for the backtrack.
+    """
+    m, n = len(a), len(b)
+    depth = max((*ua.values(), *ub.values()), default=0) + 1
+    bb = (_NO_SYMBOL,) + b
+    kbs = [0] * (n + 1)
+    for j, kb in ub.items():
+        kbs[j] = kb
+    b_units = {j: b[j - kb:j] for j, kb in ub.items()}
+    dist: list[list[float]] = [[_INF] * (n + 2)] * depth
+    infs: list[list[int]] = [[0] * (n + 2)] * depth
+    back: list[tuple[int, list[_Op | None]]] = []
+    for i in range(m + 1):
+        prev, prevf = dist[(i - 1) % depth], infs[(i - 1) % depth]
+        row, rowf = [_INF] * (n + 2), [0] * (n + 2)
+        ai = a[i - 1] if i else _NO_SYMBOL
+        ka = ua.get(i, 0)
+        if ka:
+            urow, urowf = dist[(i - ka) % depth], infs[(i - ka) % depth]
+            sa = a[i - ka:i]
+            del_w = cost.unit_edit_cost(ka)
+        js, je = max(0, i + lo), min(n, i + hi)
+        ops: list[_Op | None] = []
+        if i == 0:
+            row[1] = 0.0
+            ops.append(None)
+        j0 = js + (i == 0)
+        left, leftf = row[j0], rowf[j0]
+        for j, bj, kb, dg, dgf, up, upf in zip(
+                range(j0, je + 1), bb[j0:je + 1], kbs[j0:je + 1],
+                prev[j0:je + 1], prevf[j0:je + 1],
+                prev[j0 + 1:je + 2], prevf[j0 + 1:je + 2]):
+            if ai == bj:
+                best, f, op = dg, dgf, _MATCH
+            else:
+                best, f, op = dg + 1.0, dgf + 1, _SUBSTITUTE
+            c = up + 1.0
+            if c < best:
+                best, f, op = c, upf + 1, _DELETE
+            c = left + 1.0
+            if c < best:
+                best, f, op = c, leftf + 1, _INSERT
+            if kb or ka:
+                if kb and ka and sa != b_units[j]:
+                    w = cost.unit_substitute_cost(ka, kb)
+                    c = urow[j - kb + 1] + w
+                    if c < best:
+                        best, f = c, urowf[j - kb + 1] + max(ka, kb)
+                        op = (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w)
+                if ka:
+                    c = urow[j + 1] + del_w
+                    if c < best:
+                        best, f = c, urowf[j + 1] + ka
+                        op = (EditOpKind.UNIT_DELETE, ka, 0, del_w)
+                if kb:
+                    w = cost.unit_edit_cost(kb)
+                    c = row[j - kb + 1] + w
+                    if c < best:
+                        best, f = c, rowf[j - kb + 1] + kb
+                        op = (EditOpKind.UNIT_INSERT, 0, kb, w)
+            row[j + 1] = left = best
+            rowf[j + 1] = leftf = f
+            if script:
+                ops.append(op)
+        dist[i % depth], infs[i % depth] = row, rowf
+        if script:
+            back.append((js, ops))
+
+    steps: list[EditOp] = []
+    i, j = m, n
+    while script and (i or j):
+        js, ops = back[i]
+        op = ops[j - js]
+        assert op is not None
+        kind, da, db, w = op
+        steps.append(EditOp(kind, i - da, j - db, a[i - da:i], b[j - db:j], w))
+        i -= da
+        j -= db
+    steps.reverse()
+    return dist[m % depth][n + 1], infs[m % depth][n + 1], tuple(steps)
+
+
 def align_symbols(a: Sequence[str],
                   b: Sequence[str],
                   units_a: Mapping[int, int] | None = None,
                   units_b: Mapping[int, int] | None = None,
-                  cost: CostModel = CostModel()) -> AlignmentResult:
+                  cost: CostModel = CostModel(),
+                  *,
+                  script: bool = True) -> AlignmentResult:
     """Weighted alignment of two symbol sequences.
 
     ``units_a``/``units_b`` map a segment's end index to its length for
-    every position where a whole-unit transition is allowed.  Symbols are
-    compared by equality; for output streams they are single characters,
-    for the legacy view they are grapheme cluster texts.
+    every position where a whole-unit transition is allowed; an entry
+    outside ``1 <= length <= end <= len(seq)`` is a ``ValueError``.
+    Symbols are compared by equality; for output streams they are single
+    characters, for the legacy view they are grapheme cluster texts.
+
+    The result equals the full (m+1)×(n+1) table's, ties included, but
+    only a band of diagonals d = j - i is computed (Ukkonen 1985).  A
+    step that moves k diagonals costs at least c_min·k, where c_min is 1
+    for basic steps and the least unit cost per symbol of length
+    difference, so a path through diagonal d costs at least
+    c_min·(|d| + |d − δ|) with δ = n − m.  A first pass in the band
+    [min(0, δ) − 4, max(0, δ) + 4] gives an upper bound U, and a second
+    pass keeps the diagonals whose bound is within U: every optimal or
+    tied path lies there, so each of its cells gets the full table's
+    value and argmin.  INF, the width of every non-match step on the
+    path, is carried forward along each cell's argmin.
+
+    Time is O((m + n)·w) for a band of w diagonals, and memory O(k·n)
+    for the last k + 1 rows, k being the longest unit.  ``script=False``
+    skips the edit script (``result.script == ()``); otherwise the
+    band's backpointers add O(m·w).
     """
-    ua: Mapping[int, int] = units_a or {}
-    ub: Mapping[int, int] = units_b or {}
     a = tuple(a)
     b = tuple(b)
     m, n = len(a), len(b)
-    dp = [[0.0] * (n + 1) for _ in range(m + 1)]
-    bp: list[list[tuple[EditOpKind, int, int, float] | None]] = [
-        [None] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                continue
-            best = float("inf")
-            op: tuple[EditOpKind, int, int, float] | None = None
-            if i > 0 and j > 0:
-                if a[i - 1] == b[j - 1]:
-                    c = dp[i - 1][j - 1]
-                    if c < best:
-                        best, op = c, (EditOpKind.MATCH, 1, 1, 0.0)
-                else:
-                    c = dp[i - 1][j - 1] + 1.0
-                    if c < best:
-                        best, op = c, (EditOpKind.SUBSTITUTE, 1, 1, 1.0)
-            if i > 0:
-                c = dp[i - 1][j] + 1.0
-                if c < best:
-                    best, op = c, (EditOpKind.DELETE, 1, 0, 1.0)
-            if j > 0:
-                c = dp[i][j - 1] + 1.0
-                if c < best:
-                    best, op = c, (EditOpKind.INSERT, 0, 1, 1.0)
-            ka = ua.get(i)
-            kb = ub.get(j)
-            if ka is not None and kb is not None and a[i - ka:i] != b[j - kb:j]:
-                w = cost.unit_substitute_cost(ka, kb)
-                c = dp[i - ka][j - kb] + w
-                if c < best:
-                    best, op = c, (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w)
-            if ka is not None:
-                w = cost.unit_edit_cost(ka)
-                c = dp[i - ka][j] + w
-                if c < best:
-                    best, op = c, (EditOpKind.UNIT_DELETE, ka, 0, w)
-            if kb is not None:
-                w = cost.unit_edit_cost(kb)
-                c = dp[i][j - kb] + w
-                if c < best:
-                    best, op = c, (EditOpKind.UNIT_INSERT, 0, kb, w)
-            dp[i][j] = best
-            bp[i][j] = op
-
-    ops: list[EditOp] = []
-    i, j = m, n
-    while i > 0 or j > 0:
-        entry = bp[i][j]
-        assert entry is not None
-        kind, da, db, w = entry
-        ops.append(EditOp(kind, i - da, j - db, a[i - da:i], b[j - db:j], w))
-        i -= da
-        j -= db
-    ops.reverse()
-    # INF: symbols still wrong after alignment, every non-match by width.
-    inf = sum(max(len(op.source), len(op.target))
-              for op in ops if op.kind is not EditOpKind.MATCH)
-    return AlignmentResult(dp[m][n], tuple(ops), inf)
+    ua = _checked_units(units_a, m, "units_a")
+    ub = _checked_units(units_b, n, "units_b")
+    delta = n - m
+    lo, hi = min(0, delta) - _NARROW, max(0, delta) + _NARROW
+    distance, inf, steps = _band_pass(a, b, ua, ub, cost, lo, hi, script)
+    if lo > -m or hi < n:  # the first band left cells out: bound the rest
+        reach = distance * (1.0 + _SLACK) / _cost_per_offset(ua, ub, cost)
+        lo2 = max(-m, math.ceil((delta - reach) / 2))
+        hi2 = min(n, math.floor((delta + reach) / 2))
+        if lo2 < lo or hi2 > hi:
+            distance, inf, steps = _band_pass(a, b, ua, ub, cost, lo2, hi2, script)
+    return AlignmentResult(distance, steps, inf)
 
 
 def msd(a: OutputStream,
         b: OutputStream,
         profile: TechniqueProfile | None = None,
         cost: CostModel = CostModel(),
-        table: CharTable = BENGALI_TABLE) -> AlignmentResult:
+        table: CharTable = BENGALI_TABLE,
+        *,
+        script: bool = True) -> AlignmentResult:
     """Minimum string distance between two output streams.
 
     With a profile, whole-unit transitions are allowed wherever the
     greedy segmentation finds a declared unit in either stream; without
     one this is plain unit-cost edit distance.  ``result.distance`` is 0
     exactly when the streams are identical, and never exceeds
-    ``max(len(a), len(b))``.
+    ``max(len(a), len(b))``.  ``script=False`` leaves ``result.script``
+    empty and saves the backpointers (see :func:`align_symbols`).
     """
     unit_seqs = _unit_symbol_seqs(profile, table)
     ua = _greedy_unit_ends(a.text, unit_seqs)
     ub = _greedy_unit_ends(b.text, unit_seqs)
-    return align_symbols(a.text, b.text, ua, ub, cost)
+    return align_symbols(a.text, b.text, ua, ub, cost, script=script)

@@ -1,0 +1,219 @@
+"""The banded aligner against the full (m+1)×(n+1) table it replaced.
+
+``full_table_align`` fills every cell and backtracks a stored
+backpointer table, with the same tie order (match, substitute, delete,
+insert; basic steps before unit steps).  The banded aligner must give
+the same distance, INF and edit script, float for float.
+"""
+
+from __future__ import annotations
+
+import importlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import abugida as ab
+from abugida.msd import EditOp, EditOpKind, align_symbols
+from test_properties import typed_sessions
+
+# ``abugida.msd`` the attribute is the function; the module is imported.
+msd_module = importlib.import_module("abugida.msd")
+
+COSTS = (ab.CostModel(ab.CostMode.PAPER_LITERAL),
+         ab.CostModel(ab.CostMode.NORMALIZED_UNIT))
+
+
+def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
+    """Distance, INF and script from the whole table."""
+    ua = units_a or {}
+    ub = units_b or {}
+    a = tuple(a)
+    b = tuple(b)
+    m, n = len(a), len(b)
+    dp = [[0.0] * (n + 1) for _ in range(m + 1)]
+    bp = [[None] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i == 0 and j == 0:
+                continue
+            best = float("inf")
+            op = None
+            if i > 0 and j > 0:
+                if a[i - 1] == b[j - 1]:
+                    c = dp[i - 1][j - 1]
+                    if c < best:
+                        best, op = c, (EditOpKind.MATCH, 1, 1, 0.0)
+                else:
+                    c = dp[i - 1][j - 1] + 1.0
+                    if c < best:
+                        best, op = c, (EditOpKind.SUBSTITUTE, 1, 1, 1.0)
+            if i > 0:
+                c = dp[i - 1][j] + 1.0
+                if c < best:
+                    best, op = c, (EditOpKind.DELETE, 1, 0, 1.0)
+            if j > 0:
+                c = dp[i][j - 1] + 1.0
+                if c < best:
+                    best, op = c, (EditOpKind.INSERT, 0, 1, 1.0)
+            ka = ua.get(i)
+            kb = ub.get(j)
+            if ka is not None and kb is not None and a[i - ka:i] != b[j - kb:j]:
+                w = cost.unit_substitute_cost(ka, kb)
+                c = dp[i - ka][j - kb] + w
+                if c < best:
+                    best, op = c, (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w)
+            if ka is not None:
+                w = cost.unit_edit_cost(ka)
+                c = dp[i - ka][j] + w
+                if c < best:
+                    best, op = c, (EditOpKind.UNIT_DELETE, ka, 0, w)
+            if kb is not None:
+                w = cost.unit_edit_cost(kb)
+                c = dp[i][j - kb] + w
+                if c < best:
+                    best, op = c, (EditOpKind.UNIT_INSERT, 0, kb, w)
+            dp[i][j] = best
+            bp[i][j] = op
+
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        kind, da, db, w = bp[i][j]
+        ops.append(EditOp(kind, i - da, j - db, a[i - da:i], b[j - db:j], w))
+        i -= da
+        j -= db
+    ops.reverse()
+    inf = sum(max(len(op.source), len(op.target))
+              for op in ops if op.kind is not EditOpKind.MATCH)
+    return dp[m][n], inf, tuple(ops)
+
+
+def unit_ends(text: str, profile: ab.TechniqueProfile | None) -> dict[int, int]:
+    stream = ab.to_output_stream(text)
+    return {seg.end: seg.end - seg.start
+            for seg in ab.atomic_unit_segment(stream, profile) if seg.is_unit}
+
+
+def assert_matches_oracle(a: str, b: str, profile=None) -> None:
+    """Banded equals full table in both cost modes, with and without script."""
+    sa, sb = ab.to_output_stream(a).text, ab.to_output_stream(b).text
+    ua, ub = unit_ends(a, profile), unit_ends(b, profile)
+    for cost in COSTS:
+        want = full_table_align(sa, sb, ua, ub, cost)
+        got = align_symbols(sa, sb, ua, ub, cost)
+        assert (got.distance, got.inf, got.script) == want, (a, b, cost)
+        bare = align_symbols(sa, sb, ua, ub, cost, script=False)
+        assert (bare.distance, bare.inf, bare.script) == (want[0], want[1], ())
+
+
+LATIN_UNITS = ("ab", "cde", "abc", "dd", "eabcd")
+latin_profile = st.sets(st.sampled_from(LATIN_UNITS), min_size=1).map(
+    lambda units: ab.TechniqueProfile("latin", frozenset(units)))
+latin_piece = st.sampled_from(("a", "b", "c", "d", "e") + LATIN_UNITS)
+latin_text = st.lists(latin_piece, max_size=14).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(latin_text, latin_text, latin_profile)
+def test_unit_bearing_pairs_match_full_table(a, b, profile):
+    assert_matches_oracle(a, b, profile)
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_typed_pairs_match_full_table(granularity, data):
+    record, profile = data.draw(typed_sessions(granularity))
+    assert_matches_oracle(record.transcribed, record.presented, profile)
+    assert_matches_oracle(record.presented, record.transcribed, profile)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("", ""), ("", "ab"), ("cde", ""), ("", "ক্ষণিক"), ("ক্ষণিকের অতিথি", ""),
+])
+def test_one_side_empty_matches_full_table(a, b, sidebar_profile):
+    assert_matches_oracle(a, b, ab.TechniqueProfile("latin", frozenset({"ab", "cde"})))
+    assert_matches_oracle(a, b, sidebar_profile)
+
+
+def test_paths_outside_the_first_band_match_full_table(sidebar_profile):
+    rng = random.Random(0x0BAD)
+    pieces = ["ক্ষ", "ণ", "ি", "ক", "ে", "র", " ", "অ", "ত", "থ"]
+    left_band = 0
+    for _ in range(6):
+        s = "".join(rng.choice(pieces) for _ in range(50))
+        a, b = "q" * 10 + s, s + "z" * 10
+        assert len(ab.to_output_stream(a)) >= 60
+        for x, y in ((a, b), (b, a)):
+            assert_matches_oracle(x, y, sidebar_profile)
+            assert_matches_oracle(x, y, None)
+            sx, sy = ab.to_output_stream(x).text, ab.to_output_stream(y).text
+            script = full_table_align(sx, sy)[2]
+            left_band += max(abs(op.pos_b - op.pos_a) for op in script) > 4
+    assert left_band  # the optimum really left [-4, 4]
+
+
+def test_long_typed_like_pairs_match_full_table():
+    rng = random.Random(20261018)
+    profile = ab.TechniqueProfile("latin", frozenset({"ab", "cde", "eabcd"}))
+    for _ in range(8):
+        a = "".join(rng.choice("abcde") for _ in range(rng.randrange(60, 120)))
+        b = list(a)
+        for _ in range(rng.randrange(1, 12)):
+            at = rng.randrange(len(b) + 1)
+            span = rng.randrange(1, 8)
+            if rng.random() < 0.5:
+                del b[at:at + span]
+            else:
+                b[at:at] = rng.choices("abcde", k=span)
+        assert_matches_oracle(a, "".join(b), profile)
+
+
+class TestUnitMapChecks:
+    def test_unit_longer_than_its_end_is_refused(self):
+        # a unit of 3 cannot end at index 1
+        with pytest.raises(ValueError, match="units_a"):
+            align_symbols("abc", "xbc", {1: 3})
+
+    def test_zero_length_unit_is_refused(self):
+        with pytest.raises(ValueError, match="units_a"):
+            align_symbols("abc", "xbc", {2: 0})
+
+    def test_end_past_the_sequence_is_refused(self):
+        with pytest.raises(ValueError, match="units_b"):
+            align_symbols("abc", "xbc", None, {4: 2})
+
+    def test_unit_ending_at_the_end_is_allowed(self):
+        result = align_symbols("abc", "x", {3: 3})
+        assert result.distance == pytest.approx(1 / 3 + 1)
+
+
+class TestUnitMaterialOncePerProfile:
+    def test_units_are_flattened_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, table=ab.BENGALI_TABLE):
+            calls.append(text)
+            return ab.to_output_stream(text, table)
+
+        monkeypatch.setattr(msd_module, "to_output_stream", counting)
+        profile = ab.TechniqueProfile("t", frozenset({"ক্ষ", "ন্ড", "স্ত"}))
+        a, b = ab.to_output_stream("ক্ষণ"), ab.to_output_stream("ন্ডর")
+        first = ab.msd(a, b, profile)
+        assert len(calls) == 3
+        assert ab.msd(a, b, profile) == first
+        assert ab.atomic_unit_segment(a, profile)[0].text == "ক্ষ"
+        assert len(calls) == 3
+
+        other = ab.CharTable(ab.BENGALI_TABLE.classes, ab.BENGALI_TABLE.compositions)
+        assert ab.msd(a, b, profile, table=other) == first
+        assert len(calls) == 6  # another table is another entry
+
+    def test_index_keeps_longest_first(self):
+        profile = ab.TechniqueProfile("t", frozenset({"ab", "abc", "ba"}))
+        segments = ab.atomic_unit_segment(ab.to_output_stream("abcbab"), profile)
+        assert [(s.text, s.is_unit) for s in segments] == [
+            ("abc", True), ("ba", True), ("b", False)]
