@@ -24,13 +24,26 @@ Normalization applies NFC first and then the table's composition pairs;
 the second pass matters because NFC deliberately leaves some precomposed
 letters (ড় ঢ় য়) in decomposed form, and we want one canonical spelling
 per text before any counting.
+
+Text is canonical by the time it is counted, so the hot path is built
+for text that needs no change: the lone-surrogate scan, the search for
+a composing pair and the removal of zero-width controls are each one
+regular-expression pass in C.  The patterns a table needs are derived
+from it on first use and kept on the table.  Only a text that holds a
+declared pair runs the pairwise composition loop.  The session-log
+parser adds a memo of its own, local to one log: each distinct event
+payload is normalized and flattened once (see
+:func:`abugida.sessionio.parse_session_log`).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidEncodingError, ParseError
@@ -74,6 +87,8 @@ ZERO_WIDTH_CONTROLS = frozenset({
     0x2060,  # word joiner
     0xFEFF,  # zero width no-break space / BOM
 })
+
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # Bengali block, by range.  Unlisted codepoints fall through to the
 # zero-width / whitespace / Other defaults in CharTable.classify.
@@ -178,9 +193,28 @@ class CharTable:
             return CodepointClass.WHITESPACE
         return CodepointClass.OTHER
 
+    @cached_property
+    def _pair_pattern(self) -> re.Pattern[str] | None:
+        """Matches any adjacent pair that composes; None when none can."""
+        pairs = [chr(a) + chr(b) for a, b in self.compositions
+                 if 0 <= a <= sys.maxunicode and 0 <= b <= sys.maxunicode]
+        return re.compile("|".join(map(re.escape, pairs))) if pairs else None
+
+    @cached_property
+    def _control_pattern(self) -> re.Pattern[str] | None:
+        """Matches any codepoint this table classifies as a zero-width control."""
+        controls = {cp for cp in ZERO_WIDTH_CONTROLS if cp not in self.classes}
+        controls |= {cp for cp, cls in self.classes.items()
+                     if cls is CodepointClass.ZERO_WIDTH_CONTROL}
+        chars = "".join(re.escape(chr(cp)) for cp in sorted(controls)
+                        if 0 <= cp <= sys.maxunicode)
+        return re.compile(f"[{chars}]") if chars else None
+
     def compose(self, text: str) -> str:
         """Apply composition pairs left to right until none fire."""
-        if not self.compositions:
+        # Every merge, a cascading one too, starts at a declared pair.
+        pairs = self._pair_pattern
+        if pairs is None or pairs.search(text) is None:
             return text
         out: list[str] = []
         for ch in text:
@@ -268,10 +302,10 @@ def normalize(text: str, table: CharTable = BENGALI_TABLE) -> str:
     Raises :class:`InvalidEncodingError` if the string contains lone
     surrogates (Python admits them; no valid text does).
     """
-    for idx, ch in enumerate(text):
-        if 0xD800 <= ord(ch) <= 0xDFFF:
-            raise InvalidEncodingError(
-                f"lone surrogate U+{ord(ch):04X} at index {idx}")
+    lone = _LONE_SURROGATE.search(text)
+    if lone is not None:
+        raise InvalidEncodingError(
+            f"lone surrogate U+{ord(lone.group()):04X} at index {lone.start()}")
     return table.compose(unicodedata.normalize("NFC", text))
 
 
@@ -284,9 +318,10 @@ def to_output_stream(text: str, table: CharTable = BENGALI_TABLE) -> OutputStrea
     sequences are fully disjoined, so কান্ড yields the five characters
     ক া ন ্ ড and ক্ষ yields ক ্ ষ.  Whitespace is retained.
     """
-    return OutputStream(normalize("".join(
-        ch for ch in text
-        if table.classify(ord(ch)) is not CodepointClass.ZERO_WIDTH_CONTROL), table))
+    controls = table._control_pattern
+    if controls is not None:
+        text = controls.sub("", text)
+    return OutputStream(normalize(text, table))
 
 
 def recompose(stream: OutputStream) -> str:

@@ -10,8 +10,9 @@ Session logs are JSON Lines, one session per line:
 Technique profiles are single JSON objects declaring atomic units, the
 unit-key mapping, and backspace granularity.  Phrase sets are plain
 UTF-8 text, one phrase per line, ``#`` comments allowed.  Classification
-tables are UTF-8 record files (see :meth:`CharTable.from_lines`).
-Reports are CSV (RFC 4180, CRLF line endings) or JSON.
+tables are UTF-8 record files (see :meth:`CharTable.from_lines`).  A
+byte order mark that opens any of these files is dropped.  Reports are
+CSV (RFC 4180, CRLF line endings) or JSON.
 
 Parsing is strict: unknown fields, unknown event kinds, wrong payload
 shapes, non-integer timestamps and repeated session ids are rejected
@@ -100,11 +101,13 @@ def _read_bytes(data: Source) -> bytes | bytearray:
     return data if isinstance(data, (bytes, bytearray)) else data.read()
 
 
-def _decode(raw: bytes, where: str) -> str:
+def _decode(raw: bytes, where: str, file_start: bool = True) -> str:
+    """UTF-8 text of ``raw``; a U+FEFF opening a file is a byte order mark."""
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise EncodingError(f"{where}: {err}") from err
+    return text.removeprefix("\ufeff") if file_start else text
 
 
 def _load_json(text: str, lineno: int | None) -> object:
@@ -150,18 +153,14 @@ def _non_negative_int(value: object, lineno: int, field: str) -> int:
     return value
 
 
-def _parse_event(obj: object, index: int, lineno: int,
-                 table: CharTable) -> KeyEvent:
-    where = f"events[{index}]"
-    _object(obj, _EVENT_FIELDS, lineno, where)
-    t = _non_negative_int(obj.get("t"), lineno, f"{where}.t")
-    k = obj.get("k")
+def _event_payload(k: object, p: object, where: str, lineno: int,
+                   table: CharTable) -> tuple[KeyEventKind, str]:
+    """The kind and canonical payload of an event's ``k`` and ``p``."""
     if not isinstance(k, str) or k not in _EVENT_KINDS:
         raise ParseError(
             f"unknown event kind {k!r} (expected one of "
             f"{sorted(_EVENT_KINDS)})", line=lineno, field=f"{where}.k")
     kind = _EVENT_KINDS[k]
-    p = obj.get("p", "")
     if not isinstance(p, str):
         raise ParseError("payload must be a string", line=lineno,
                          field=f"{where}.p")
@@ -177,10 +176,33 @@ def _parse_event(obj: object, index: int, lineno: int,
     elif p:
         raise ParseError(f"{kind.value} events carry no payload",
                          line=lineno, field=f"{where}.p")
-    return KeyEvent(t, kind, p)
+    return kind, p
 
 
-def _parse_record(obj: object, lineno: int, table: CharTable) -> SessionRecord:
+_Payloads = dict[tuple[str, str], tuple[KeyEventKind, str]]
+
+
+def _parse_event(obj: object, index: int, lineno: int, table: CharTable,
+                 payloads: _Payloads) -> KeyEvent:
+    """One event; ``payloads`` holds the pairs already checked in this log.
+
+    A pair is checked where it first occurs, so an error names the same
+    line and field as without the memo.
+    """
+    where = f"events[{index}]"
+    _object(obj, _EVENT_FIELDS, lineno, where)
+    t = _non_negative_int(obj.get("t"), lineno, f"{where}.t")
+    k, p = obj.get("k"), obj.get("p", "")
+    # A k or p that is no string (a JSON list is unhashable) never passes.
+    checked = (payloads.get((k, p))
+               if isinstance(k, str) and isinstance(p, str) else None)
+    if checked is None:
+        checked = payloads[k, p] = _event_payload(k, p, where, lineno, table)
+    return KeyEvent(t, *checked)
+
+
+def _parse_record(obj: object, lineno: int, table: CharTable,
+                  payloads: _Payloads) -> SessionRecord:
     _object(obj, _RECORD_FIELDS, lineno, None)
     session_id = _require_str(obj, "session_id", lineno, nonempty=True)
     technique_id = _require_str(obj, "technique_id", lineno, nonempty=True)
@@ -195,7 +217,7 @@ def _parse_record(obj: object, lineno: int, table: CharTable) -> SessionRecord:
     raw_events = obj.get("events")
     if not isinstance(raw_events, list) or not raw_events:
         raise ParseError("expected a non-empty list", line=lineno, field="events")
-    events = [_parse_event(e, i, lineno, table)
+    events = [_parse_event(e, i, lineno, table, payloads)
               for i, e in enumerate(raw_events)]
     if any(b.t_ms < a.t_ms for a, b in zip(events, events[1:])):
         log.warning("session %s: events out of order, sorting by timestamp",
@@ -217,15 +239,19 @@ def parse_session_log(data: Source,
     """Parse a JSON Lines session log.  Blank lines are skipped.
 
     A session id may appear once; a repeat raises :class:`ParseError`
-    naming both lines.
+    naming both lines.  Each distinct event ``(k, p)`` pair is checked,
+    normalized and flattened once per call: a log's keystrokes draw on a
+    small alphabet of payloads.
     """
     records: list[SessionRecord] = []
     first_line: dict[str, int] = {}
+    payloads: _Payloads = {}
     for lineno, raw in enumerate(_read_bytes(data).splitlines(), start=1):
-        text = _decode(raw, f"line {lineno}")
+        text = _decode(raw, f"line {lineno}", file_start=lineno == 1)
         if not text.strip():
             continue
-        record = _parse_record(_load_json(text, lineno), lineno, table)
+        record = _parse_record(_load_json(text, lineno), lineno, table,
+                               payloads)
         first = first_line.setdefault(record.session_id, lineno)
         if first != lineno:
             raise ParseError(f"session id {record.session_id!r} already used "

@@ -259,3 +259,96 @@ class TestCharTable:
         assert table.classify(0x0995) is CC.OTHER
         # untouched codepoints keep their fallback behavior
         assert table.classify(ord(" ")) is CC.WHITESPACE
+
+
+# The per-character loops that normalization and decomposition ran
+# before their regular-expression fast paths, kept as the oracle.
+
+def _oracle_compose(text: str, table: ab.CharTable) -> str:
+    out: list[str] = []
+    for ch in text:
+        out.append(ch)
+        while len(out) >= 2:
+            merged = table.compositions.get((ord(out[-2]), ord(out[-1])))
+            if merged is None:
+                break
+            out[-2:] = [chr(merged)]
+    return "".join(out)
+
+
+def _oracle_normalize(text: str, table: ab.CharTable) -> str:
+    for idx, ch in enumerate(text):
+        if 0xD800 <= ord(ch) <= 0xDFFF:
+            raise ab.InvalidEncodingError(
+                f"lone surrogate U+{ord(ch):04X} at index {idx}")
+    return _oracle_compose(unicodedata.normalize("NFC", text), table)
+
+
+def _oracle_output_stream(text: str, table: ab.CharTable) -> str:
+    return _oracle_normalize("".join(
+        ch for ch in text
+        if table.classify(ord(ch)) is not CC.ZERO_WIDTH_CONTROL), table)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the message of the encoding error it raises."""
+    try:
+        return fn(*args)
+    except ab.InvalidEncodingError as err:
+        return ("error", str(err))
+
+
+# Built-in rules, except: ZWNJ is ordinary text, the nukta is a
+# zero-width control, and ক + ড় composes to U+09FF, a merge that can
+# only fire after ড + nukta has merged first.
+_RECLASSIFIED = ab.CharTable.from_lines(
+    [line for line in ab.BENGALI_TABLE.to_lines()
+     if not line.startswith(("09BC ", "09FF "))]
+    + ["09BC ZeroWidthControl", "09FF Consonant 0995 09DC", "200C Other"])
+
+# Single characters, lone surrogates among them, plus composing pairs
+# (cascading, or split by a control) that random text rarely holds.
+_ORACLE_PIECES = _ALPHABET + [chr(cp) for cp in sorted(ZERO_WIDTH_CONTROLS)]
+_ORACLE_PIECES += ["\ud800", "\udfff", "a", "\t", "\u0995\u09a1\u09bc",
+                   "\u0995\u09dc", "\u09a1\u200c\u09bc", "\u09c7\u200d\u09be"]
+_oracle_text = st.lists(st.sampled_from(_ORACLE_PIECES), max_size=16).map("".join)
+
+
+class TestFastPathsMatchOracle:
+    def test_reclassified_table_is_what_it_claims(self):
+        assert _RECLASSIFIED.classify(0x200C) is CC.OTHER
+        assert _RECLASSIFIED.classify(0x09BC) is CC.ZERO_WIDTH_CONTROL
+        assert ab.normalize("\u0995\u09dc", _RECLASSIFIED) == "\u09ff"
+        assert ab.normalize("\u0995\u09a1\u09bc", _RECLASSIFIED) == "\u09ff"
+        assert (ab.to_output_stream("\u0995\u09a1\u09bc", _RECLASSIFIED).text
+                == "\u0995\u09a1")
+        assert (ab.to_output_stream("\u0995\u200c\u0996", _RECLASSIFIED).text
+                == "\u0995\u200c\u0996")
+
+    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED],
+                             ids=["builtin", "reclassified"])
+    @given(text=_oracle_text)
+    @settings(max_examples=300)
+    def test_normalize(self, table, text):
+        assert (_outcome(ab.normalize, text, table)
+                == _outcome(_oracle_normalize, text, table))
+
+    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED],
+                             ids=["builtin", "reclassified"])
+    @given(text=_oracle_text)
+    @settings(max_examples=300)
+    def test_to_output_stream(self, table, text):
+        fast = _outcome(lambda: ab.to_output_stream(text, table).text)
+        assert fast == _outcome(_oracle_output_stream, text, table)
+
+    def test_records_outside_unicode_never_match(self):
+        # Table files accept any hex number; no text holds such a codepoint.
+        table = ab.CharTable.from_lines(
+            ["110000 ZeroWidthControl", "0995 Consonant 110000 0996"])
+        assert ab.to_output_stream("ক\u200cখ", table).text == "কখ"
+        assert ab.normalize("কখ", table) == "কখ"
+
+    def test_surrogate_message_names_codepoint_and_index(self):
+        with pytest.raises(ab.InvalidEncodingError,
+                           match=r"^lone surrogate U\+D800 at index 1$"):
+            ab.normalize("ক\ud800ষ")

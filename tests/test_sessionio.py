@@ -9,6 +9,7 @@ import pytest
 
 import abugida as ab
 from abugida.sessionio import (
+    corpus_totals,
     write_analysis_report,
     write_compare_report,
     write_per_session_report,
@@ -161,6 +162,66 @@ class TestParseSessionLog:
         assert any("out of order" in m for m in caplog.messages)
 
 
+    def test_surrogate_message_names_field_and_index(self):
+        data = (b'{"session_id":"s","technique_id":"t","participant_id":"p",'
+                b'"presented":"x","transcribed":"x",'
+                b'"events":[{"t":0,"k":"char","p":"\\u0995\\ud800"}]}\n')
+        with pytest.raises(ab.ParseError, match=(
+                r"^line 1, field 'events\[0\]\.p': "
+                r"lone surrogate U\+D800 at index 1$")):
+            ab.parse_session_log(data)
+
+
+class TestPayloadMemo:
+    """Each distinct (k, p) pair is checked once per log, where it first occurs."""
+
+    def test_char_payload_reused_as_unit_fails_where_it_occurs(self):
+        later = sidebar_log_obj("s2", "p2")
+        later["events"][3] = {"t": 4500, "k": "unit", "p": "ক"}
+        with pytest.raises(ab.ParseError, match=(
+                r"^line 2, field 'events\[3\]\.p': unit payload must carry "
+                r"at least two")):
+            ab.parse_session_log(log_bytes(sidebar_log_obj(), later))
+
+    def test_backspace_repeating_char_payload_fails(self):
+        later = sidebar_log_obj("s2", "p2")
+        later["events"].append({"t": 30000, "k": "bksp", "p": "ক"})
+        with pytest.raises(ab.ParseError, match=(
+                r"^line 2, field 'events\[12\]\.p': bksp events carry no "
+                r"payload")):
+            ab.parse_session_log(log_bytes(sidebar_log_obj(), later))
+
+    def test_each_pair_is_flattened_once_per_log(self, monkeypatch):
+        from abugida import sessionio
+        flattened = []
+
+        def counting(text, table):
+            flattened.append(text)
+            return ab.to_output_stream(text, table)
+
+        monkeypatch.setattr(sessionio, "to_output_stream", counting)
+        typed = {e["p"] for e in sidebar_log_obj()["events"] if e["p"]}
+        data = log_bytes(sidebar_log_obj("s1"), sidebar_log_obj("s2", "p2"))
+        records = ab.parse_session_log(data)
+        assert records[0].events == records[1].events
+        assert sorted(flattened) == sorted(typed)
+        ab.parse_session_log(data)
+        assert len(flattened) == 2 * len(typed)
+
+    def test_memo_does_not_outlive_its_call(self):
+        # Without the nukta pair, ড + nukta stays two characters.
+        no_nukta_pair = ab.CharTable.from_lines(
+            "09DC Consonant" if line.startswith("09DC ") else line
+            for line in ab.BENGALI_TABLE.to_lines())
+        obj = sidebar_log_obj()
+        obj["events"][2]["p"] = "\u09a1\u09bc"
+        data = log_bytes(obj)
+        payload = lambda table: ab.parse_session_log(data, table)[0].events[2].payload
+        assert payload(ab.BENGALI_TABLE) == "\u09dc"
+        assert payload(no_nukta_pair) == "\u09a1\u09bc"
+        assert payload(ab.BENGALI_TABLE) == "\u09dc"
+
+
 class TestParseTechniqueProfile:
     def test_full_profile(self):
         p = ab.parse_technique_profile(profile_bytes())
@@ -246,6 +307,36 @@ class TestCorpusWordLength:
     def test_empty_corpus(self):
         with pytest.raises(ab.EmptyCorpusError):
             ab.corpus_word_length(ab.PhraseSet(()))
+
+
+class TestByteOrderMark:
+    """One U+FEFF that opens a file is a byte order mark and is dropped."""
+
+    BOM = "\ufeff".encode()
+
+    def test_session_log(self):
+        data = log_bytes(sidebar_log_obj())
+        assert ab.parse_session_log(self.BOM + data) == ab.parse_session_log(data)
+
+    def test_session_log_mark_inside_the_file_is_still_an_error(self):
+        data = log_bytes(sidebar_log_obj()) + self.BOM + log_bytes(
+            sidebar_log_obj("s2"))
+        with pytest.raises(ab.ParseError, match="line 2"):
+            ab.parse_session_log(data)
+
+    def test_technique_profile(self):
+        assert (ab.parse_technique_profile(self.BOM + profile_bytes())
+                == ab.parse_technique_profile(profile_bytes()))
+
+    def test_table_file(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes(self.BOM + b"0995 Other\n")
+        assert ab.load_table_file(str(path)).classify(0x0995) is ab.CodepointClass.OTHER
+
+    def test_phrase_set(self):
+        ps = ab.load_phrase_set(self.BOM + "# corpus\nবই কান্ড আম\n".encode())
+        assert ps.phrases == ("বই কান্ড আম",)
+        assert corpus_totals(ps) == (11, 3)
 
 
 def summary(technique="conjunct-key", **means):
