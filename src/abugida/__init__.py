@@ -20,7 +20,6 @@ from .bengali import (
     CodepointClass,
     GraphemeCluster,
     OutputStream,
-    classify_codepoint,
     normalize,
     recompose,
     segment_graphemes,
@@ -75,17 +74,14 @@ from .msd import (
 from .sessionio import (
     PhraseSet,
     SessionRecord,
-    corpus_word_length,
     load_phrase_set,
     load_table_file,
     parse_session_log,
     parse_technique_profile,
-    write_report,
     write_session_log,
     write_technique_profile,
 )
 from .streams import (
-    InputStream,
     KeyEvent,
     KeyEventKind,
     ReplayResult,

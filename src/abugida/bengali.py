@@ -56,7 +56,6 @@ __all__ = [
     "CharTable",
     "BENGALI_TABLE",
     "ZERO_WIDTH_CONTROLS",
-    "classify_codepoint",
     "normalize",
     "to_output_stream",
     "segment_graphemes",
@@ -259,6 +258,9 @@ class CharTable:
                     first, second = int(tokens[2], 16), int(tokens[3], 16)
                 except ValueError:
                     raise ParseError("bad composition pair", line=lineno) from None
+                if (first, second) in compositions:
+                    raise ParseError(f"duplicate composition pair U+{first:04X} "
+                                     f"U+{second:04X}", line=lineno)
                 compositions[(first, second)] = cp
         return cls(classes=classes, compositions=compositions)
 
@@ -289,11 +291,6 @@ def _builtin_table() -> CharTable:
 
 
 BENGALI_TABLE = _builtin_table()
-
-
-def classify_codepoint(codepoint: int, table: CharTable = BENGALI_TABLE) -> CodepointClass:
-    """Classify one codepoint.  Total: every codepoint gets some class."""
-    return table.classify(codepoint)
 
 
 def normalize(text: str, table: CharTable = BENGALI_TABLE) -> str:

@@ -90,8 +90,7 @@ class MetricConfig:
     table: CharTable = BENGALI_TABLE
 
     def __post_init__(self) -> None:
-        if isinstance(self.msd_cost_mode, str) and not isinstance(self.msd_cost_mode, CostMode):
-            object.__setattr__(self, "msd_cost_mode", CostMode(self.msd_cost_mode))
+        object.__setattr__(self, "msd_cost_mode", CostMode(self.msd_cost_mode))
         if not (math.isfinite(self.word_length_chars) and self.word_length_chars > 0):
             raise ValueError("word length must be finite and positive")
 
@@ -237,12 +236,12 @@ def _evaluate(session: "SessionRecord",
         technique_id=session.technique_id,
         participant_id=session.participant_id,
         wpm_bn=wpm_bn(t_len, seconds, config.word_length_chars),
-        kspc_bn=kspc_bn(stream.length, t_len),
+        kspc_bn=kspc_bn(len(stream), t_len),
         er_bn=er_bn(inf, t_len),
         msder_bn=msder_bn(alignment.distance, p_len, t_len),
         total_error_rate=total_error_rate(correct, inf, incorrect_fixed),
         intermediates=SessionIntermediates(
-            is_length=stream.length,
+            is_length=len(stream),
             os_p_length=p_len,
             os_t_length=t_len,
             inf=inf,

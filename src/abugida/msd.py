@@ -83,10 +83,8 @@ class TechniqueProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atomic_units", frozenset(self.atomic_units))
-        if isinstance(self.backspace_granularity, str):
-            object.__setattr__(
-                self, "backspace_granularity",
-                BackspaceGranularity(self.backspace_granularity))
+        object.__setattr__(self, "backspace_granularity",
+                           BackspaceGranularity(self.backspace_granularity))
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,9 @@ class CostModel:
     """Operation costs for the alignment.  Basic character ops cost 1."""
 
     mode: CostMode = CostMode.PAPER_LITERAL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", CostMode(self.mode))
 
     def unit_edit_cost(self, n: int) -> float:
         if self.mode is CostMode.PAPER_LITERAL:

@@ -56,9 +56,6 @@ __all__ = [
     "load_phrase_set",
     "load_table_file",
     "corpus_totals",
-    "corpus_word_length",
-    "write_report",
-    "write_per_session_report",
     "write_analysis_report",
     "write_compare_report",
 ]
@@ -375,18 +372,6 @@ def corpus_totals(phrase_set: PhraseSet,
     return chars, words
 
 
-def corpus_word_length(phrase_set: PhraseSet,
-                       table: CharTable = BENGALI_TABLE) -> float:
-    """Mean word length in constituent characters, whitespace included.
-
-    Counting spaces follows the words-per-minute convention where a
-    word is a fixed span of the character stream.  Raises
-    :class:`EmptyCorpusError` for a corpus with no words.
-    """
-    total_chars, total_words = corpus_totals(phrase_set, table)
-    return total_chars / total_words
-
-
 class _Metric(NamedTuple):
     """A report cell holding the value of the metric ``name``."""
 
@@ -458,28 +443,18 @@ def _session_table(results: "Sequence[SessionMetrics]") -> _Table:
         for m in results]
 
 
-def write_report(summaries: "Sequence[TechniqueSummary]",
-                 fmt: str = "csv") -> bytes:
-    """Emit the aggregated per-technique report.
-
-    CSV columns are fixed: technique, the five metrics (means, two
-    decimals, rates carrying a % suffix), and n_sessions.  JSON carries
-    the same numbers rounded to two decimals, without suffixes.  Output
-    is byte-deterministic for a given input.
-    """
-    return _render({"summary": _summary_table(summaries)}, fmt)
-
-
-def write_per_session_report(results: "Sequence[SessionMetrics]",
-                             fmt: str = "csv") -> bytes:
-    """Emit one row per session, metrics plus the audit intermediates."""
-    return _render({"sessions": _session_table(results)}, fmt)
-
-
 def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
                           sessions: "Sequence[SessionMetrics] | None" = None,
                           fmt: str = "csv") -> bytes:
-    """Combined output of ``analyze``: optional per-session block, summary."""
+    """The report of ``analyze``: an optional per-session block, then the summary.
+
+    The summary's CSV columns are fixed: technique, the five metrics
+    (means, two decimals, rates carrying a % suffix), and n_sessions.
+    Session rows add the audit intermediates.  JSON carries the same
+    numbers rounded to two decimals, without suffixes: the summary alone
+    is a list of rows, with sessions an object of both.  Output is
+    byte-deterministic for a given input.
+    """
     tables = {} if sessions is None else {"sessions": _session_table(sessions)}
     tables["summary"] = _summary_table(summaries)
     return _render(tables, fmt)

@@ -2,8 +2,10 @@
 
 The input stream is every key action the participant performed, in
 time order: text-producing keys (single characters or whole atomic
-units), backspaces, edit keys, and modifiers.  Its length |IS| counts
-all of them, which is what makes KSPC sensitive to correction effort.
+units), backspaces, edit keys, and modifiers.  It is a plain
+``tuple[KeyEvent, ...]`` (:func:`build_input_stream`), and |IS| is its
+``len``: it counts all of them, which is what makes KSPC sensitive to
+correction effort.
 
 Replay reconstructs the transcribed text from the events alone, which
 both validates a log and yields the erased material needed to split
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable
 
 from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
 from .errors import (
@@ -31,7 +33,6 @@ from .msd import BackspaceGranularity, TechniqueProfile
 __all__ = [
     "KeyEventKind",
     "KeyEvent",
-    "InputStream",
     "ReplayResult",
     "build_input_stream",
     "session_duration_s",
@@ -64,29 +65,13 @@ class KeyEvent:
     payload: str = ""
 
     def __post_init__(self) -> None:
-        if isinstance(self.kind, str) and not isinstance(self.kind, KeyEventKind):
+        # One KeyEvent per logged event: a member skips the enum call.
+        if type(self.kind) is not KeyEventKind:
             object.__setattr__(self, "kind", KeyEventKind(self.kind))
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
         if self.kind in _TEXTLESS and self.payload:
             raise ValueError(f"{self.kind.value} events carry no payload")
-
-
-@dataclass(frozen=True)
-class InputStream:
-    """Time-ordered keystroke sequence; |IS| is its length."""
-
-    events: tuple[KeyEvent, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[KeyEvent]:
-        return iter(self.events)
 
 
 @dataclass(frozen=True)
@@ -97,51 +82,55 @@ class ReplayResult:
     erased: tuple[str, ...]
 
 
-Events = Union[InputStream, Sequence[KeyEvent], Iterable[KeyEvent]]
+def _in_time_order(events: Iterable[KeyEvent]) -> list[KeyEvent]:
+    # stable, so equal stamps keep log order
+    return sorted(events, key=lambda e: e.t_ms)
 
 
-def _event_list(events: Events) -> list[KeyEvent]:
-    if isinstance(events, InputStream):
-        return list(events.events)
-    out = list(events)
-    out.sort(key=lambda e: e.t_ms)  # stable, so equal stamps keep log order
-    return out
+def build_input_stream(events: Iterable[KeyEvent]) -> tuple[KeyEvent, ...]:
+    """The input stream: ``events`` as a tuple in timestamp order.
 
-
-def build_input_stream(events: Events) -> InputStream:
-    """Order events by timestamp into an input stream.
-
-    The sort is stable: events sharing a timestamp keep their log order.
-    Raises :class:`EmptySessionError` for an empty sequence.
+    |IS| is the tuple's ``len``.  The sort is stable: events sharing a
+    timestamp keep their log order.  Raises :class:`EmptySessionError`
+    for an empty sequence.
     """
-    ordered = _event_list(events)
-    if not ordered:
+    stream = tuple(_in_time_order(events))
+    if not stream:
         raise EmptySessionError("session has no keystroke events")
-    return InputStream(tuple(ordered))
+    return stream
 
 
-def session_duration_s(stream: InputStream) -> float:
-    """Elapsed seconds from first to last event; 0.0 for one event."""
-    if not stream.events:
+def session_duration_s(stream: Iterable[KeyEvent]) -> float:
+    """Elapsed seconds from the first to the last event of an input stream.
+
+    ``stream`` is the tuple :func:`build_input_stream` returns, but the
+    span is taken between the earliest and the latest stamp, so events
+    in any order give the same seconds.  One event gives 0.0.
+    """
+    stamps = [e.t_ms for e in stream]
+    if not stamps:
         raise EmptySessionError("session has no keystroke events")
-    return (stream.events[-1].t_ms - stream.events[0].t_ms) / 1000.0
+    return (max(stamps) - min(stamps)) / 1000.0
 
 
-def replay_events(events: Events,
+def replay_events(events: Iterable[KeyEvent],
                   profile: TechniqueProfile | None = None,
                   table: CharTable = BENGALI_TABLE) -> ReplayResult:
     """Replay keystrokes into canonical text, tracking erased material.
 
-    Character events append their constituent characters one atom each;
-    unit events append one whole-unit atom when the profile erases at
-    unit granularity, else per-character atoms.  Backspace pops the most
+    ``events`` are replayed in timestamp order, whatever their container:
+    a stable sort keeps equal stamps in log order.  Character events
+    append their constituent characters one atom each; unit events
+    append one whole-unit atom when the profile erases at unit
+    granularity, else per-character atoms.  Backspace pops the most
     recent atom.  Modifiers produce nothing.  Edit events raise
     :class:`UnsupportedKeyError`; see the module docstring.
 
     With ``profile=None`` the replay is permissive: unit payloads are
-    accepted without declaration and erased per character.  The strict
-    mode raises :class:`UnknownUnitError` for undeclared unit payloads
-    and :class:`ReplayUnderflowError` when backspace finds nothing.
+    accepted without declaration and erased per character; with a
+    profile, an undeclared unit payload raises :class:`UnknownUnitError`.
+    Either way, a backspace that finds nothing to erase raises
+    :class:`ReplayUnderflowError`.
     """
     unit_texts: frozenset[str] | None = None
     per_unit = False
@@ -151,7 +140,7 @@ def replay_events(events: Events,
 
     atoms: list[str] = []
     erased: list[str] = []
-    for ev in _event_list(events):
+    for ev in _in_time_order(events):
         if ev.kind is KeyEventKind.CHAR:
             atoms.extend(to_output_stream(ev.payload, table).text)
         elif ev.kind is KeyEventKind.UNIT:
@@ -176,7 +165,7 @@ def replay_events(events: Events,
     return ReplayResult(normalize("".join(atoms), table), tuple(erased))
 
 
-def replay_transcription(events: Events,
+def replay_transcription(events: Iterable[KeyEvent],
                          profile: TechniqueProfile,
                          table: CharTable = BENGALI_TABLE) -> str:
     """Reconstruct the transcribed text from the events, normalized."""

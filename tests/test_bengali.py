@@ -55,17 +55,17 @@ class TestClassify:
         ("ঽ", CC.OTHER),   # avagraha
     ])
     def test_cases(self, char, expected):
-        assert ab.classify_codepoint(ord(char)) is expected
+        assert ab.BENGALI_TABLE.classify(ord(char)) is expected
 
     @given(st.integers(min_value=0, max_value=0x10FFFF))
     def test_total(self, cp):
-        assert isinstance(ab.classify_codepoint(cp), CC)
+        assert isinstance(ab.BENGALI_TABLE.classify(cp), CC)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ab.classify_codepoint(0x110000)
+            ab.BENGALI_TABLE.classify(0x110000)
         with pytest.raises(ValueError):
-            ab.classify_codepoint(-1)
+            ab.BENGALI_TABLE.classify(-1)
 
 
 class TestNormalize:
@@ -102,7 +102,7 @@ class TestOutputStream:
     def test_conjunct_word_flattens_to_five(self):
         stream = ab.to_output_stream("কান্ড")
         assert [ord(ch) for ch in stream.text] == [0x0995, 0x09BE, 0x09A8, 0x09CD, 0x09A1]
-        assert [ab.classify_codepoint(ord(ch)) for ch in stream.text] == [
+        assert [ab.BENGALI_TABLE.classify(ord(ch)) for ch in stream.text] == [
             CC.CONSONANT, CC.DEPENDENT_VOWEL_SIGN, CC.CONSONANT,
             CC.VIRAMA, CC.CONSONANT,
         ]
@@ -247,6 +247,12 @@ class TestCharTable:
     def test_duplicate_record(self):
         with pytest.raises(ab.ParseError):
             ab.CharTable.from_lines(["0995 Consonant", "0995 Other"])
+
+    def test_duplicate_composition_pair(self):
+        # The second record would silently replace the first's composition.
+        with pytest.raises(ab.ParseError, match=r"line 2.*U\+0995 U\+09BC"):
+            ab.CharTable.from_lines(["0996 Consonant 0995 09BC",
+                                     "0997 Consonant 0995 09BC"])
 
     def test_bad_encoding(self, tmp_path):
         path = tmp_path / "table.txt"

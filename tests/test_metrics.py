@@ -279,6 +279,10 @@ class TestMetricConfig:
         assert ab.MetricConfig(msd_cost_mode="normalized").msd_cost_mode \
             is ab.CostMode.NORMALIZED_UNIT
 
+    def test_cost_mode_not_a_mode_rejected(self):
+        with pytest.raises(ValueError):
+            ab.MetricConfig(msd_cost_mode=1)
+
     @pytest.mark.parametrize("word_length", [0.0, -1.0, math.nan, math.inf])
     def test_bad_word_length(self, word_length):
         with pytest.raises(ValueError):

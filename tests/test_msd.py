@@ -214,6 +214,19 @@ class TestUnitCosts:
             assert d_paper <= d_norm + 1e-9
             assert d_norm <= d_char + 1e-9
 
+    def test_cost_mode_by_value(self):
+        assert ab.CostModel("paper").unit_edit_cost(4) == 0.25
+
+    def test_cost_mode_not_a_mode_rejected(self):
+        # Not a mode: it would price a 4-symbol unit edit at 1.0.
+        with pytest.raises(ValueError):
+            ab.CostModel(1)
+
+    def test_granularity_not_a_granularity_rejected(self):
+        # Not a granularity: it would replay as basic.
+        with pytest.raises(ValueError):
+            ab.TechniqueProfile("t", backspace_granularity=1)
+
 
 class TestScript:
     @given(latin_text, latin_text)

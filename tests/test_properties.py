@@ -9,11 +9,14 @@ calling the replay under test.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
+from abugida.streams import replay_matches
 
 UNITS = ("ক্ষ", "ন্ড", "স্ত")
 # Consonants without signs, independent vowels, digits and spaces: every
@@ -106,3 +109,23 @@ def test_msd_is_bounded_and_zero_only_on_equal_text(view, granularity, data):
     m = view(record, profile).intermediates
     assert 0 <= m.msd <= max(m.os_p_length, m.os_t_length)
     assert (m.msd == 0) == (record.presented == record.transcribed)
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_analyze_accepts_what_validate_log_matches(granularity, data):
+    """``analyze`` and ``validate-log`` agree on what a session contains."""
+    record, profile = data.draw(typed_sessions(granularity))
+    replayed = ab.replay_transcription(record.events, profile)
+    assert replay_matches(replayed, record.transcribed)
+    ab.analyze_session(record, profile)
+
+    # One constituent of the transcription becomes গ, which no key types.
+    flat = ab.to_output_stream(record.transcribed).text
+    i = data.draw(st.integers(min_value=0, max_value=len(flat) - 1))
+    changed = dataclasses.replace(
+        record, transcribed=ab.normalize(flat[:i] + "গ" + flat[i + 1:]))
+    assert not replay_matches(replayed, changed.transcribed)
+    with pytest.raises(ab.TranscriptionMismatchError):
+        ab.analyze_session(changed, profile)

@@ -12,7 +12,6 @@ from abugida.sessionio import (
     corpus_totals,
     write_analysis_report,
     write_compare_report,
-    write_per_session_report,
 )
 from conftest import sidebar_log_obj, sidebar_profile_obj
 
@@ -289,24 +288,26 @@ class TestPhraseSet:
 
 
 class TestCorpusWordLength:
+    """The word length corpus-stats prints: characters over words."""
+
     def test_single_word(self):
-        assert ab.corpus_word_length(ab.PhraseSet(("বই",))) == 2.0
+        assert corpus_totals(ab.PhraseSet(("বই",))) == (2, 1)
 
     def test_spaces_count_toward_length(self):
         # 5 constituents (including the space) over 2 words
-        assert ab.corpus_word_length(ab.PhraseSet(("অআ ইঈ",))) == 2.5
+        assert corpus_totals(ab.PhraseSet(("অআ ইঈ",))) == (5, 2)
 
     def test_conjuncts_count_fully(self):
-        assert ab.corpus_word_length(ab.PhraseSet(("কান্ড",))) == 5.0
+        assert corpus_totals(ab.PhraseSet(("কান্ড",))) == (5, 1)
 
     def test_repetition_invariant(self):
-        once = ab.corpus_word_length(ab.PhraseSet(("বই", "কান্ড")))
-        thrice = ab.corpus_word_length(ab.PhraseSet(("বই", "কান্ড") * 3))
-        assert once == pytest.approx(thrice)
+        chars, words = corpus_totals(ab.PhraseSet(("বই", "কান্ড")))
+        assert corpus_totals(ab.PhraseSet(("বই", "কান্ড") * 3)) \
+            == (3 * chars, 3 * words)
 
     def test_empty_corpus(self):
         with pytest.raises(ab.EmptyCorpusError):
-            ab.corpus_word_length(ab.PhraseSet(()))
+            corpus_totals(ab.PhraseSet(()))
 
 
 class TestByteOrderMark:
@@ -348,15 +349,17 @@ def summary(technique="conjunct-key", **means):
 
 
 class TestWriteReport:
+    """The summary-only report ``analyze`` writes without --per-session."""
+
     def test_csv_golden_bytes(self):
-        data = ab.write_report([summary()], "csv")
+        data = write_analysis_report([summary()], None, "csv")
         expected = ("technique,wpm_bn,kspc_bn,er_bn,msder_bn,total_error_rate,"
                     "n_sessions\r\n"
                     "conjunct-key,7.05,0.92,7.69%,7.14%,7.69%,1\r\n")
         assert data == expected.encode("utf-8")
 
     def test_json_numbers_without_suffix(self):
-        rows = json.loads(ab.write_report([summary()], "json"))
+        rows = json.loads(write_analysis_report([summary()], None, "json"))
         assert rows == [{
             "technique": "conjunct-key", "wpm_bn": 7.05, "kspc_bn": 0.92,
             "er_bn": 7.69, "msder_bn": 7.14, "total_error_rate": 7.69,
@@ -364,18 +367,20 @@ class TestWriteReport:
         }]
 
     def test_lexicographic_order(self):
-        data = ab.write_report([summary("zebra"), summary("alpha")], "csv")
+        data = write_analysis_report([summary("zebra"), summary("alpha")], None,
+                                     "csv")
         lines = data.decode().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["alpha", "zebra"]
 
     def test_deterministic(self):
         rows = [summary("a"), summary("b")]
-        assert ab.write_report(rows, "csv") == ab.write_report(rows, "csv")
-        assert ab.write_report(rows, "json") == ab.write_report(rows, "json")
+        for fmt in ("csv", "json"):
+            assert (write_analysis_report(rows, None, fmt)
+                    == write_analysis_report(rows, None, fmt))
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            ab.write_report([summary()], "xml")
+            write_analysis_report([summary()], None, "xml")
 
 
 class TestOtherWriters:
@@ -387,7 +392,7 @@ class TestOtherWriters:
                                  7.6923076923076925, i)
 
     def test_per_session_csv(self):
-        data = write_per_session_report([self._session_metrics()], "csv")
+        data = write_analysis_report([summary()], [self._session_metrics()], "csv")
         lines = data.decode().split("\r\n")
         assert lines[0].startswith("session_id,technique_id,participant_id,wpm_bn")
         assert lines[1] == ("s1,conjunct-key,p1,7.05,0.92,7.69%,7.14%,7.69%,"

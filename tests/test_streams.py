@@ -28,16 +28,23 @@ class TestKeyEvent:
         with pytest.raises(ValueError):
             ev(0, "tap", "ক")
 
+    def test_non_string_kind_rejected(self):
+        # Not a kind: it would count toward |IS| and replay as a modifier.
+        with pytest.raises(ValueError):
+            ev(0, 5, "x")
+
 
 class TestBuildInputStream:
     def test_sidebar_has_twelve_keystrokes(self, sidebar_events):
-        assert ab.build_input_stream(sidebar_events).length == 12
+        stream = ab.build_input_stream(sidebar_events)
+        assert stream == tuple(sidebar_events)
+        assert len(stream) == 12
 
     def test_modifiers_and_backspaces_count(self):
         stream = ab.build_input_stream([
             ev(0, "char", "ব"), ev(10, "bksp"), ev(20, "mod"), ev(30, "char", "ই"),
         ])
-        assert stream.length == 4
+        assert len(stream) == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ab.EmptySessionError):
@@ -49,7 +56,7 @@ class TestBuildInputStream:
 
     def test_stable_for_equal_timestamps(self):
         a, b = ev(5, "char", "ব"), ev(5, "char", "ই")
-        assert ab.build_input_stream([a, b]).events == (a, b)
+        assert ab.build_input_stream([a, b]) == (a, b)
 
 
 class TestDuration:
@@ -62,6 +69,11 @@ class TestDuration:
     def test_millisecond_difference(self):
         stream = ab.build_input_stream([ev(500, "char", "ক"), ev(3100, "char", "ই")])
         assert ab.session_duration_s(stream) == pytest.approx(2.6)
+
+    def test_order_does_not_matter(self):
+        # A list out of time order is no input stream, yet spans the same time.
+        events = [ev(3100, "char", "ই"), ev(500, "char", "ক")]
+        assert ab.session_duration_s(events) == pytest.approx(2.6)
 
     def test_translation_invariant(self):
         base = [ev(100, "char", "ক"), ev(900, "char", "ই")]
@@ -123,6 +135,17 @@ class TestReplay:
     def test_sidebar_replays_to_transcription(self, sidebar_events, sidebar_profile):
         from conftest import TRANSCRIBED
         assert ab.replay_transcription(sidebar_events, sidebar_profile) == TRANSCRIBED
+
+    def test_order_does_not_depend_on_container(self):
+        # Out of order: ব then া at 0 and 30 ms, the backspace at 40 ms
+        # erases া, and ই at 50 ms comes last.
+        events = [ev(50, "char", "ই"), ev(40, "bksp"), ev(0, "char", "ব"),
+                  ev(30, "char", "া")]
+        containers = (events, tuple(events), ab.build_input_stream(events),
+                      iter(events))
+        for container in containers:
+            result = ab.replay_events(container)
+            assert (result.text, result.erased) == ("বই", ("া",))
 
 
 class TestClassifyKeystrokes:
