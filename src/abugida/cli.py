@@ -180,7 +180,7 @@ def _cmd_msd(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profile = _read_profile(args.profile, table) if args.profile else None
     a = to_output_stream(args.phrase_a, table)
     b = to_output_stream(args.phrase_b, table)
-    result = msd(a, b, profile, CostModel(CostMode(args.msd_cost_mode)), table)
+    result = msd(a, b, profile, CostModel(CostMode(args.msd_cost_mode)))
     lines = [f"distance\t{result.distance:g}"]
     for op in result.script:
         lines.append(f"{op.kind.value}\t{op.pos_a}\t{op.pos_b}"

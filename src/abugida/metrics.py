@@ -210,7 +210,7 @@ def _evaluate(session: "SessionRecord",
         align = lambda t, p: align_symbols(t, p, None, None, cost, script=False)
     else:
         symbols = lambda text: to_output_stream(text, table)
-        align = lambda t, p: msd(t, p, profile, cost, table, script=False)
+        align = lambda t, p: msd(t, p, profile, cost, script=False)
     sym_p, sym_t = symbols(session.presented), symbols(session.transcribed)
     p_len, t_len = len(sym_p), len(sym_t)
     alignment = align(sym_t, sym_p)

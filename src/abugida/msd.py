@@ -15,6 +15,11 @@ few extra transitions.  Ties are broken deterministically: match over
 substitute over delete over insert, and basic-character transitions
 over unit transitions.
 
+``TechniqueProfile(..., table=T)`` flattens its units under T once,
+when it is built (``dataclasses.replace`` flattens them again, under the
+default table); :func:`msd` and :func:`atomic_unit_segment` read that
+and take no table.
+
 :func:`align_symbols` gives the full table's distance, INF and script
 but computes only a band of diagonals around the optimal path (Ukkonen
 1985), sized from a first, narrow pass's cost.  INF is carried forward
@@ -28,11 +33,10 @@ grows with length alone.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum, unique
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, OutputStream, to_output_stream
 
@@ -74,17 +78,26 @@ class TechniqueProfile:
     ``unit_keys`` names the keys that commit each declared unit.  The
     profile parser checks that every payload is a declared unit, but it
     is metadata only: replay and alignment never read it.
+
+    ``unit_seqs`` is derived once, here: the units' output-stream text
+    under ``table``, those of two symbols or more, longest first.
+    Alignment and :func:`atomic_unit_segment` read it.
     """
 
     technique_id: str
     atomic_units: frozenset[str] = frozenset()
     unit_keys: Mapping[str, str] = field(default_factory=dict)
     backspace_granularity: BackspaceGranularity = BackspaceGranularity.BASIC
+    table: InitVar[CharTable] = BENGALI_TABLE
+    unit_seqs: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, table: CharTable) -> None:
         object.__setattr__(self, "atomic_units", frozenset(self.atomic_units))
         object.__setattr__(self, "backspace_granularity",
                            BackspaceGranularity(self.backspace_granularity))
+        seqs = {to_output_stream(unit, table).text for unit in self.atomic_units}
+        object.__setattr__(self, "unit_seqs", tuple(sorted(
+            (s for s in seqs if len(s) >= 2), key=lambda s: (-len(s), s))))
 
 
 @dataclass(frozen=True)
@@ -155,50 +168,16 @@ class AlignmentResult:
     inf: int
 
 
-# (atomic units, id(table)) -> (table, flattener, unit strings longest
-# first).  The entry holds the table, so its id cannot be reused while the
-# entry lives, and the flattener that made the strings: rebinding
-# ``to_output_stream`` (a tracer, a test double) starts afresh.
-_UNIT_SEQS: dict[tuple[frozenset[str], int],
-                 tuple[CharTable, Callable[..., OutputStream], tuple[str, ...]]] = {}
-_UNIT_SEQS_MAX = 64
-
-
-def _unit_symbol_seqs(profile: TechniqueProfile | None,
-                      table: CharTable) -> tuple[str, ...]:
-    """Declared units as output-stream text, longest first; once per profile."""
-    if profile is None:
-        return ()
-    key = (profile.atomic_units, id(table))
-    entry = _UNIT_SEQS.get(key)
-    if entry is None or entry[1] is not to_output_stream:
-        seqs = {to_output_stream(unit, table).text for unit in profile.atomic_units}
-        ordered = tuple(sorted((s for s in seqs if len(s) >= 2),
-                               key=lambda s: (-len(s), s)))
-        if len(_UNIT_SEQS) >= _UNIT_SEQS_MAX:
-            _UNIT_SEQS.clear()
-        entry = _UNIT_SEQS[key] = (table, to_output_stream, ordered)
-    return entry[2]
-
-
-@functools.lru_cache(maxsize=_UNIT_SEQS_MAX)
-def _units_by_first(unit_seqs: tuple[Sequence[str], ...]
-                    ) -> dict[str, tuple[Sequence[str], ...]]:
-    """The units grouped by their first symbol, each group in input order."""
-    index: dict[str, list[Sequence[str]]] = {}
-    for seq in unit_seqs:
-        index.setdefault(seq[0], []).append(seq)
-    return {first: tuple(group) for first, group in index.items()}
-
-
 def _greedy_unit_ends(symbols: Sequence[str],
                       unit_seqs: Sequence[Sequence[str]]) -> dict[int, int]:
     """Greedy leftmost-longest pass; maps segment end index to unit length.
 
     ``unit_seqs`` come longest first; only the units that start with the
-    symbol at hand are tried.
+    symbol at hand are tried, in that order.
     """
-    by_first = _units_by_first(tuple(unit_seqs))
+    by_first: dict[str, list[Sequence[str]]] = {}
+    for seq in unit_seqs:
+        by_first.setdefault(seq[0], []).append(seq)
     ends: dict[int, int] = {}
     i, n = 0, len(symbols)
     while i < n:
@@ -214,8 +193,7 @@ def _greedy_unit_ends(symbols: Sequence[str],
 
 
 def atomic_unit_segment(stream: OutputStream,
-                        profile: TechniqueProfile | None,
-                        table: CharTable = BENGALI_TABLE) -> list[Segment]:
+                        profile: TechniqueProfile | None) -> list[Segment]:
     """Partition a stream into unit segments and single characters.
 
     Greedy and leftmost: at each position the longest declared unit that
@@ -223,7 +201,7 @@ def atomic_unit_segment(stream: OutputStream,
     segments concatenate back to the stream.
     """
     symbols = stream.text
-    ends = _greedy_unit_ends(symbols, _unit_symbol_seqs(profile, table))
+    ends = _greedy_unit_ends(symbols, profile.unit_seqs if profile else ())
     starts = {end - k: end for end, k in ends.items()}
     segments: list[Segment] = []
     i = 0
@@ -420,7 +398,6 @@ def msd(a: OutputStream,
         b: OutputStream,
         profile: TechniqueProfile | None = None,
         cost: CostModel = CostModel(),
-        table: CharTable = BENGALI_TABLE,
         *,
         script: bool = True) -> AlignmentResult:
     """Minimum string distance between two output streams.
@@ -432,7 +409,7 @@ def msd(a: OutputStream,
     ``max(len(a), len(b))``.  ``script=False`` leaves ``result.script``
     empty and saves the backpointers (see :func:`align_symbols`).
     """
-    unit_seqs = _unit_symbol_seqs(profile, table)
+    unit_seqs = profile.unit_seqs if profile else ()
     ua = _greedy_unit_ends(a.text, unit_seqs)
     ub = _greedy_unit_ends(b.text, unit_seqs)
     return align_symbols(a.text, b.text, ua, ub, cost, script=script)

@@ -323,6 +323,7 @@ def parse_technique_profile(data: Source,
         atomic_units=frozenset(units),
         unit_keys=unit_keys,
         backspace_granularity=BackspaceGranularity(granularity),
+        table=table,
     )
 
 

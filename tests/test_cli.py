@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -179,6 +181,30 @@ class TestLogCommandErrors:
         assert "conjunct-key" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare-naive", "validate-log"])
+class TestProfileDirectoryErrors:
+    def test_no_profile_files_exit_2(self, capsys, tmp_path, sidebar_log_file,
+                                     command):
+        pdir = tmp_path / "profiles"
+        pdir.mkdir()
+        (pdir / "notes.txt").write_text("not a profile")
+        code, out, err = run(capsys, command, sidebar_log_file, "--profiles", str(pdir))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {pdir}: no profile files\n"
+
+    def test_duplicate_technique_names_second_file(self, capsys, tmp_path,
+                                                   sidebar_log_file, command):
+        pdir = tmp_path / "profiles"
+        pdir.mkdir()
+        write_json(pdir / "a.json", basic_profile_obj("t"))
+        second = write_json(pdir / "b.json", basic_profile_obj("t"))
+        code, out, err = run(capsys, command, sidebar_log_file, "--profiles", str(pdir))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {second}: duplicate profile for technique 't'\n"
+
+
 class TestDecompose:
     def test_constituents(self, capsys):
         code, out, _ = run(capsys, "decompose", "কান্ড")
@@ -197,6 +223,13 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "")
         assert code == 0
         assert out == "length\t0\n"
+
+    def test_text_only_stdout(self):
+        # A stdout without a byte buffer gets the report as text.
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["decompose", "ক্ষ"]) == 0
+        assert out.getvalue() == ("ক\tU+0995\tConsonant\n্\tU+09CD\tVirama\n"
+                                  "ষ\tU+09B7\tConsonant\nlength\t3\n")
 
 
 class TestMsdCommand:

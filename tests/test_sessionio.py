@@ -137,6 +137,27 @@ class TestParseSessionLog:
         obj["inf_override"] = 2
         assert ab.parse_session_log(log_bytes(obj))[0].inf_override == 2
 
+    def test_inf_override_round_trip(self):
+        objs = [sidebar_log_obj("s1"), sidebar_log_obj("s2"), sidebar_log_obj("s3")]
+        objs[0]["inf_override"] = 0
+        objs[1]["inf_override"] = 3
+        records = ab.parse_session_log(log_bytes(*objs))
+        again = ab.parse_session_log(ab.write_session_log(records))
+        assert again == records
+        assert [r.inf_override for r in again] == [0, 3, None]
+
+    @pytest.mark.parametrize("event, message", [
+        ("x", "line 1, field 'events[0]': expected a JSON object"),
+        ({"t": 0, "k": "char", "p": 5},
+         "line 1, field 'events[0].p': payload must be a string"),
+    ])
+    def test_malformed_event(self, event, message):
+        obj = sidebar_log_obj()
+        obj["events"][0] = event
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_session_log(log_bytes(obj))
+        assert str(info.value) == message
+
     def test_surrogate_escape_rejected(self):
         data = (b'{"session_id":"s","technique_id":"t","participant_id":"p",'
                 b'"presented":"\\ud800","transcribed":"x",'
@@ -259,6 +280,16 @@ class TestParseTechniqueProfile:
     def test_missing_id(self):
         with pytest.raises(ab.ParseError, match="technique_id"):
             ab.parse_technique_profile(b"{}")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"atomic_units": "ক্ষ"}, "field 'atomic_units': expected a list of strings"),
+        ({"unit_keys": ["ক্ষ"]}, "field 'unit_keys': expected an object"),
+        ({"unit_keys": {"K": 5}}, "field 'unit_keys.K': expected a string payload"),
+    ])
+    def test_field_of_wrong_type(self, overrides, message):
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_technique_profile(profile_bytes(**overrides))
+        assert str(info.value) == message
 
     def test_round_trip(self):
         p = ab.parse_technique_profile(profile_bytes())
