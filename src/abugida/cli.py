@@ -136,15 +136,14 @@ def _load_study(args: argparse.Namespace, table: CharTable
     return profiles, records
 
 
-def _metric_config(args: argparse.Namespace, table: CharTable) -> MetricConfig:
+def _metric_config(args: argparse.Namespace) -> MetricConfig:
     return MetricConfig(word_length_chars=args.word_length,
-                        msd_cost_mode=CostMode(args.msd_cost_mode),
-                        table=table)
+                        msd_cost_mode=CostMode(args.msd_cost_mode))
 
 
 def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
-    config = _metric_config(args, table)
+    config = _metric_config(args)
     results = [analyze_session(r, profiles[r.technique_id], config)
                for r in records]
     summaries = aggregate(results)
@@ -154,7 +153,7 @@ def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes
 
 def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
-    config = _metric_config(args, table)
+    config = _metric_config(args)
     proposed = [analyze_session(r, profiles[r.technique_id], config)
                 for r in records]
     naive = [naive_metrics(r, profiles[r.technique_id], config)
@@ -208,7 +207,7 @@ def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> tuple[int, 
     for record in records:
         try:
             replayed = replay_transcription(
-                record.events, profiles[record.technique_id], table)
+                record.events, profiles[record.technique_id])
         except AbugidaError as err:
             lines.append(f"{record.session_id}\tERROR\t{err}")
             clean = False

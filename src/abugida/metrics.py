@@ -27,12 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bengali import (
-    BENGALI_TABLE,
-    CharTable,
-    segment_graphemes,
-    to_output_stream,
-)
+from .bengali import BENGALI_TABLE, segment_graphemes, to_output_stream
 from .errors import (
     AbugidaError,
     EmptyGroupError,
@@ -83,11 +78,15 @@ RATE_FIELDS = frozenset({"er_bn", "msder_bn", "total_error_rate"})
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Knobs shared by every metric computation."""
+    """Knobs shared by every metric computation.
+
+    The classification table is not one of them: it comes with the
+    technique profile (``profile.table``), or is ``BENGALI_TABLE``
+    without one.
+    """
 
     word_length_chars: float = DEFAULT_WORD_LENGTH_CHARS
     msd_cost_mode: CostMode = CostMode.PAPER_LITERAL
-    table: CharTable = BENGALI_TABLE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "msd_cost_mode", CostMode(self.msd_cost_mode))
@@ -200,7 +199,7 @@ def _evaluate(session: "SessionRecord",
               profile: TechniqueProfile | None,
               config: MetricConfig,
               naive: bool) -> SessionMetrics:
-    table = config.table
+    table = BENGALI_TABLE if profile is None else profile.table
     cost = CostModel(config.msd_cost_mode)
 
     # The view's symbols: grapheme clusters aligned without unit costs, or
@@ -221,7 +220,7 @@ def _evaluate(session: "SessionRecord",
     seconds = session_duration_s(stream)
     inf = session.inf_override if session.inf_override is not None else alignment.inf
 
-    replay = replay_events(stream, profile, table)
+    replay = replay_events(stream, profile)
     if not replay_matches(replay.text, session.transcribed, table):
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "

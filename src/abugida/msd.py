@@ -15,10 +15,10 @@ few extra transitions.  Ties are broken deterministically: match over
 substitute over delete over insert, and basic-character transitions
 over unit transitions.
 
-``TechniqueProfile(..., table=T)`` flattens its units under T once,
-when it is built (``dataclasses.replace`` flattens them again, under the
-default table); :func:`msd` and :func:`atomic_unit_segment` read that
-and take no table.
+A :class:`TechniqueProfile` carries the classification table it was
+built under and flattens its units under it once, when it is built;
+:func:`msd` and :func:`atomic_unit_segment` read those and take no
+table.
 
 :func:`align_symbols` gives the full table's distance, INF and script
 but computes only a band of diagonals around the optimal path (Ukkonen
@@ -34,7 +34,7 @@ grows with length alone.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Mapping, Sequence
 
@@ -79,6 +79,10 @@ class TechniqueProfile:
     profile parser checks that every payload is a declared unit, but it
     is metadata only: replay and alignment never read it.
 
+    ``table`` is the classification table the profile is evaluated
+    under: replay and the metrics flatten the session's texts with it,
+    so one table decides every constituent of an evaluation.  It is not
+    compared or shown, and ``dataclasses.replace`` keeps it.
     ``unit_seqs`` is derived once, here: the units' output-stream text
     under ``table``, those of two symbols or more, longest first.
     Alignment and :func:`atomic_unit_segment` read it.
@@ -88,14 +92,14 @@ class TechniqueProfile:
     atomic_units: frozenset[str] = frozenset()
     unit_keys: Mapping[str, str] = field(default_factory=dict)
     backspace_granularity: BackspaceGranularity = BackspaceGranularity.BASIC
-    table: InitVar[CharTable] = BENGALI_TABLE
+    table: CharTable = field(default=BENGALI_TABLE, compare=False, repr=False)
     unit_seqs: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, table: CharTable) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "atomic_units", frozenset(self.atomic_units))
         object.__setattr__(self, "backspace_granularity",
                            BackspaceGranularity(self.backspace_granularity))
-        seqs = {to_output_stream(unit, table).text for unit in self.atomic_units}
+        seqs = {to_output_stream(unit, self.table).text for unit in self.atomic_units}
         object.__setattr__(self, "unit_seqs", tuple(sorted(
             (s for s in seqs if len(s) >= 2), key=lambda s: (-len(s), s))))
 

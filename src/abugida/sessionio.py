@@ -14,12 +14,12 @@ tables are UTF-8 record files (see :meth:`CharTable.from_lines`).  A
 byte order mark that opens any of these files is dropped.  Reports are
 CSV (RFC 4180, CRLF line endings) or JSON.
 
-Parsing is strict: unknown fields, unknown event kinds, wrong payload
-shapes, non-integer timestamps and repeated session ids are rejected
-with the line and field named, so malformed logs fail loudly instead of
-skewing results.  All text is normalized on the way in.  Out-of-order
-events are sorted with a warning rather than rejected; loggers never
-write to stdout.
+Parsing is strict: unknown fields, keys repeated within an object,
+unknown event kinds, wrong payload shapes, non-integer timestamps and
+repeated session ids are rejected with the line and field named, so
+malformed logs fail loudly instead of skewing results.  All text is
+normalized on the way in.  Out-of-order events are sorted with a
+warning rather than rejected; loggers never write to stdout.
 """
 
 from __future__ import annotations
@@ -108,8 +108,17 @@ def _decode(raw: bytes, where: str, file_start: bool = True) -> str:
 
 
 def _load_json(text: str, lineno: int | None) -> object:
+    """``text`` as JSON; a key repeated in any object is a :class:`ParseError`."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ParseError(f"duplicate key {repeated!r}", line=lineno)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", line=lineno) from err
 
@@ -119,9 +128,8 @@ def _object(obj: object, allowed: frozenset, lineno: int | None,
     """``obj`` as a JSON object whose keys are all in ``allowed``."""
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line=lineno, field=field)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]!r}",
+    if not allowed.issuperset(obj):
+        raise ParseError(f"unknown field {sorted(set(obj) - allowed)[0]!r}",
                          line=lineno, field=field)
     return obj
 
@@ -143,11 +151,12 @@ def _require_str(obj: dict, key: str, lineno: int | None,
     return value
 
 
-def _non_negative_int(value: object, lineno: int, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError("expected a non-negative integer", line=lineno,
-                         field=field)
-    return value
+_NOT_A_COUNT = "expected a non-negative integer"
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is a JSON non-negative integer (``true`` is not)."""
+    return type(value) is int and value >= 0
 
 
 def _event_payload(k: object, p: object, where: str, lineno: int,
@@ -184,17 +193,21 @@ def _parse_event(obj: object, index: int, lineno: int, table: CharTable,
     """One event; ``payloads`` holds the pairs already checked in this log.
 
     A pair is checked where it first occurs, so an error names the same
-    line and field as without the memo.
+    line and field as without the memo.  This runs once per logged
+    event, so the field name is formatted only for an error.
     """
-    where = f"events[{index}]"
-    _object(obj, _EVENT_FIELDS, lineno, where)
-    t = _non_negative_int(obj.get("t"), lineno, f"{where}.t")
+    if not (isinstance(obj, dict) and _EVENT_FIELDS.issuperset(obj)):
+        _object(obj, _EVENT_FIELDS, lineno, f"events[{index}]")  # raises
+    t = obj.get("t")
+    if not _is_count(t):
+        raise ParseError(_NOT_A_COUNT, line=lineno, field=f"events[{index}].t")
     k, p = obj.get("k"), obj.get("p", "")
     # A k or p that is no string (a JSON list is unhashable) never passes.
     checked = (payloads.get((k, p))
                if isinstance(k, str) and isinstance(p, str) else None)
     if checked is None:
-        checked = payloads[k, p] = _event_payload(k, p, where, lineno, table)
+        checked = payloads[k, p] = _event_payload(
+            k, p, f"events[{index}]", lineno, table)
     return KeyEvent(t, *checked)
 
 
@@ -209,8 +222,8 @@ def _parse_record(obj: object, lineno: int, table: CharTable,
     transcribed = _norm(_require_str(obj, "transcribed", lineno),
                         table, lineno, "transcribed")
     inf_override = obj.get("inf_override")
-    if inf_override is not None:
-        _non_negative_int(inf_override, lineno, "inf_override")
+    if inf_override is not None and not _is_count(inf_override):
+        raise ParseError(_NOT_A_COUNT, line=lineno, field="inf_override")
     raw_events = obj.get("events")
     if not isinstance(raw_events, list) or not raw_events:
         raise ParseError("expected a non-empty list", line=lineno, field="events")

@@ -114,8 +114,7 @@ def session_duration_s(stream: Iterable[KeyEvent]) -> float:
 
 
 def replay_events(events: Iterable[KeyEvent],
-                  profile: TechniqueProfile | None = None,
-                  table: CharTable = BENGALI_TABLE) -> ReplayResult:
+                  profile: TechniqueProfile | None = None) -> ReplayResult:
     """Replay keystrokes into canonical text, tracking erased material.
 
     ``events`` are replayed in timestamp order, whatever their container:
@@ -127,14 +126,17 @@ def replay_events(events: Iterable[KeyEvent],
     :class:`UnsupportedKeyError`; see the module docstring.
 
     With ``profile=None`` the replay is permissive: unit payloads are
-    accepted without declaration and erased per character; with a
-    profile, an undeclared unit payload raises :class:`UnknownUnitError`.
-    Either way, a backspace that finds nothing to erase raises
-    :class:`ReplayUnderflowError`.
+    accepted without declaration and erased per character, and texts are
+    flattened under ``BENGALI_TABLE``; with a profile, an undeclared unit
+    payload raises :class:`UnknownUnitError`, and texts are flattened
+    under ``profile.table``.  Either way, a backspace that finds nothing
+    to erase raises :class:`ReplayUnderflowError`.
     """
+    table = BENGALI_TABLE
     unit_texts: frozenset[str] | None = None
     per_unit = False
     if profile is not None:
+        table = profile.table
         unit_texts = profile.atomic_units
         per_unit = profile.backspace_granularity is BackspaceGranularity.UNIT
 
@@ -166,18 +168,17 @@ def replay_events(events: Iterable[KeyEvent],
 
 
 def replay_transcription(events: Iterable[KeyEvent],
-                         profile: TechniqueProfile,
-                         table: CharTable = BENGALI_TABLE) -> str:
+                         profile: TechniqueProfile) -> str:
     """Reconstruct the transcribed text from the events, normalized."""
-    return replay_events(events, profile, table).text
+    return replay_events(events, profile).text
 
 
 def replay_matches(replayed: str, transcribed: str,
                    table: CharTable = BENGALI_TABLE) -> bool:
     """Whether replayed text reproduces a stored, canonical transcription.
 
-    Replay never yields zero-width controls (ZWJ, ZWNJ and the like), so
-    the transcription's are ignored.
+    Replay yields the canonical output-stream text, which holds no
+    zero-width controls (ZWJ, ZWNJ and the like), so the transcription is
+    compared in the same form and its controls are ignored.
     """
-    return replayed == transcribed or replayed == normalize(
-        to_output_stream(transcribed, table).text, table)
+    return replayed == to_output_stream(transcribed, table).text

@@ -205,6 +205,38 @@ class TestProfileDirectoryErrors:
         assert err == f"error: {second}: duplicate profile for technique 't'\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare-naive", "validate-log"])
+class TestDuplicateKeys:
+    """A key repeated in any JSON object fails; the last value never wins."""
+
+    @pytest.mark.parametrize("original, doubled, key", [
+        ('{"session_id": "s1",', '{"session_id": "s1", "session_id": "x",',
+         "session_id"),
+        ('{"t": 0,', '{"t": 0, "t": 9,', "t"),
+    ], ids=["record", "event"])
+    def test_log_exit_1(self, capsys, tmp_path, sidebar_profile_file, command,
+                        original, doubled, key):
+        text = json.dumps(sidebar_log_obj(), ensure_ascii=False)
+        assert original in text
+        log = tmp_path / "log.jsonl"
+        log.write_text(text.replace(original, doubled, 1) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(log),
+                             "--profiles", sidebar_profile_file)
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: duplicate key {key!r}\n"
+
+    def test_profile_exit_2(self, capsys, tmp_path, sidebar_log_file, command):
+        text = json.dumps(sidebar_profile_obj(), ensure_ascii=False)
+        profile = tmp_path / "p.json"
+        profile.write_text(text.replace(
+            '"technique_id": "conjunct-key"',
+            '"technique_id": "conjunct-key", "technique_id": "x"'), encoding="utf-8")
+        code, out, err = run(capsys, command, sidebar_log_file,
+                             "--profiles", str(profile))
+        assert (code, out) == (2, "")
+        assert err == f"error: {profile}: duplicate key 'technique_id'\n"
+
+
 class TestDecompose:
     def test_constituents(self, capsys):
         code, out, _ = run(capsys, "decompose", "কান্ড")

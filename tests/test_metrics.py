@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -178,6 +179,39 @@ class TestAnalyzeSession:
             ab.analyze_session(rec, sidebar_profile)
         assert info.value.session_id == "tampered-1"
         assert repr(TRANSCRIBED) in str(info.value)
+
+
+class TestProfileCarriesItsTable:
+    """The profile's table flattens the units and the session alike.
+
+    ZWNJ is a dropped control under the built-in table and text under
+    this one, so unit ক ZWNJ ষ has three constituents only under it.
+    """
+
+    ZWNJ_OTHER = ab.CharTable.from_lines(
+        [*ab.BENGALI_TABLE.to_lines(), "200C Other"])
+    UNIT = "ক\u200cষ"
+
+    def profile(self):
+        return ab.TechniqueProfile("t", frozenset({self.UNIT}),
+                                   table=self.ZWNJ_OTHER)
+
+    def test_session_is_flattened_under_the_profile_table(self):
+        rec = record("র", self.UNIT + "র",
+                     [ev(0, "unit", self.UNIT), ev(500, "char", "র")])
+        result = ab.analyze_session(rec, self.profile())
+        assert result.intermediates.msd == pytest.approx(1 / 3)  # one unit
+        assert result.intermediates.os_t_length == 4
+
+    def test_replay_flattens_under_the_profile_table(self):
+        events = [ev(0, "unit", self.UNIT), ev(500, "bksp"), ev(900, "bksp")]
+        assert ab.replay_events(events, self.profile()).erased == ("ষ", "\u200c")
+        assert ab.replay_events(events).erased == ("ষ", "ক")
+
+    def test_replace_keeps_the_table(self):
+        changed = dataclasses.replace(self.profile(), technique_id="u")
+        assert [len(s) for s in changed.unit_seqs] == [3]
+        assert changed.table is self.ZWNJ_OTHER
 
 
 class TestNaiveMetrics:

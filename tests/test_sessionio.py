@@ -172,6 +172,20 @@ class TestParseSessionLog:
                            match="line 3, field 'session_id'.*on line 1"):
             ab.parse_session_log(data)
 
+    @pytest.mark.parametrize("original, doubled, key", [
+        ('{"session_id": "s1",', '{"session_id": "s1", "session_id": "x",',
+         "session_id"),
+        ('{"t": 0,', '{"t": 0, "t": 9,', "t"),
+    ], ids=["record", "event"])
+    def test_duplicate_key_rejected(self, original, doubled, key):
+        second = log_bytes(sidebar_log_obj("s1")).decode()
+        assert original in second
+        data = log_bytes(sidebar_log_obj("s0")) + second.replace(
+            original, doubled, 1).encode()
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_session_log(data)
+        assert str(info.value) == f"line 2: duplicate key {key!r}"
+
     def test_out_of_order_events_sorted_with_warning(self, caplog):
         obj = sidebar_log_obj()
         obj["events"][0], obj["events"][1] = obj["events"][1], obj["events"][0]
@@ -290,6 +304,18 @@ class TestParseTechniqueProfile:
         with pytest.raises(ab.ParseError) as info:
             ab.parse_technique_profile(profile_bytes(**overrides))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("original, doubled, key", [
+        ('{"technique_id": "conjunct-key",',
+         '{"technique_id": "conjunct-key", "technique_id": "x",', "technique_id"),
+        ('{"KSHA": "ক্ষ"}', '{"KSHA": "ক্ষ", "KSHA": "ক্ষ"}', "KSHA"),
+    ], ids=["profile", "unit_keys"])
+    def test_duplicate_key_rejected(self, original, doubled, key):
+        text = profile_bytes().decode()
+        assert original in text
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_technique_profile(text.replace(original, doubled).encode())
+        assert str(info.value) == f"duplicate key {key!r}"
 
     def test_round_trip(self):
         p = ab.parse_technique_profile(profile_bytes())
