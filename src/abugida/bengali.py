@@ -337,53 +337,42 @@ _SINGLETON = (CodepointClass.WHITESPACE, CodepointClass.DIGIT)
 def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[GraphemeCluster]:
     """Split ``text`` into visual grapheme clusters.
 
-    A cluster grows while dependent vowel signs, modifier signs, or the
-    virama attach to it, and continues through a consonant+virama tail
-    (the conjunct case).  Whitespace and digits are always singleton
-    clusters.  Zero-width controls attach to the current cluster but
-    never count as constituents.  Concatenating the cluster texts gives
-    back the normalized input, and constituent counts sum to the output
-    stream length.
+    Each non-control codepoint of the normalized text opens a new
+    cluster, unless the previous non-control codepoint is neither
+    whitespace nor a digit and the codepoint either attaches (a
+    dependent vowel sign, a modifier sign or the virama) or follows
+    consonant + virama and is neither whitespace nor a digit (a
+    conjunct).  Looking back at the last two non-control codepoints of
+    the text, not of the cluster, is exact: a consonant enters a cluster
+    only first or right after consonant + virama, and a virama after
+    anything but whitespace or a digit always attaches, so such a
+    consonant + virama pair always lies in the open cluster.
+
+    Zero-width controls never count as constituents and stay in the
+    cluster they follow, or in the first one if they lead; a text of
+    controls only is one cluster of none.  Clusters are slices of the
+    normalized text, and their counts sum to its output-stream length.
     """
     text = normalize(text, table)
     clusters: list[GraphemeCluster] = []
-    cur: list[str] = []
-    eff: list[CodepointClass] = []  # classes of the non-ZWC codepoints in cur
-    pending = ""  # leading zero-width controls before the first cluster
-
-    def flush() -> None:
-        if cur:
-            joined = "".join(cur)
-            # Dropping controls may join a composing pair (ড ZWNJ nukta).
-            count = len(to_output_stream(joined, table)) if len(cur) > len(eff) else len(eff)
-            clusters.append(GraphemeCluster(joined, count))
-
-    for ch in text:
+    prev2 = prev = None  # classes of the last two non-control codepoints
+    start = count = 0  # the open cluster's first index and constituent count
+    for i, ch in enumerate(text):
         cls = table.classify(ord(ch))
         if cls is CodepointClass.ZERO_WIDTH_CONTROL:
-            if cur:
-                cur.append(ch)
-            else:
-                pending += ch
             continue
-        attach = False
-        if eff and eff[-1] not in _SINGLETON:
-            if cls in _ATTACHING:
-                attach = True
-            elif (len(eff) >= 2
-                  and eff[-1] is CodepointClass.VIRAMA
-                  and eff[-2] is CodepointClass.CONSONANT
-                  and cls not in _SINGLETON):
-                attach = True
-        if not attach:
-            flush()
-            cur = list(pending)
-            eff = []
-            pending = ""
-        cur.append(ch)
-        eff.append(cls)
-    flush()
-    if pending and not clusters:
-        # Degenerate all-control text: keep it, zero constituents.
-        clusters.append(GraphemeCluster(pending, 0))
-    return clusters
+        if count and (prev in _SINGLETON or not (
+                cls in _ATTACHING
+                or (prev is CodepointClass.VIRAMA and prev2 is CodepointClass.CONSONANT
+                    and cls not in _SINGLETON))):
+            clusters.append(GraphemeCluster(text[start:i], count))
+            start, count = i, 0
+        count += 1
+        prev2, prev = prev, cls
+    if text:
+        clusters.append(GraphemeCluster(text[start:], count))
+    # A cluster that holds a control is counted flat: dropping the
+    # control may join a composing pair (ড ZWNJ nukta).
+    return [c if len(c.text) == c.constituent_count
+            else GraphemeCluster(c.text, len(to_output_stream(c.text, table)))
+            for c in clusters]

@@ -28,7 +28,7 @@ from .metrics import (
     analyze_session,
     naive_metrics,
 )
-from .msd import CostModel, CostMode, TechniqueProfile, msd
+from .msd import CostModel, TechniqueProfile, msd
 from .sessionio import (
     SessionRecord,
     corpus_totals,
@@ -138,7 +138,7 @@ def _load_study(args: argparse.Namespace, table: CharTable
 
 def _metric_config(args: argparse.Namespace) -> MetricConfig:
     return MetricConfig(word_length_chars=args.word_length,
-                        msd_cost_mode=CostMode(args.msd_cost_mode))
+                        msd_cost_mode=args.msd_cost_mode)
 
 
 def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
@@ -179,7 +179,7 @@ def _cmd_msd(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profile = _read_profile(args.profile, table) if args.profile else None
     a = to_output_stream(args.phrase_a, table)
     b = to_output_stream(args.phrase_b, table)
-    result = msd(a, b, profile, CostModel(CostMode(args.msd_cost_mode)))
+    result = msd(a, b, profile, CostModel(args.msd_cost_mode))
     lines = [f"distance\t{result.distance:g}"]
     for op in result.script:
         lines.append(f"{op.kind.value}\t{op.pos_a}\t{op.pos_b}"

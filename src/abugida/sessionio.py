@@ -335,7 +335,7 @@ def parse_technique_profile(data: Source,
         technique_id=technique_id,
         atomic_units=frozenset(units),
         unit_keys=unit_keys,
-        backspace_granularity=BackspaceGranularity(granularity),
+        backspace_granularity=granularity,
         table=table,
     )
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import abugida as ab
 from abugida import CodepointClass as CC
-from abugida.bengali import ZERO_WIDTH_CONTROLS
+from abugida.bengali import _ATTACHING, _SINGLETON, ZERO_WIDTH_CONTROLS
 
 # Sampling alphabet: the whole Bengali block (assigned or not) plus the
 # joiners and a couple of separators.
@@ -181,6 +181,19 @@ class TestSegmentGraphemes:
     def test_leading_mark_starts_its_own_cluster(self):
         assert [c.text for c in ab.segment_graphemes("িক")] == ["ি", "ক"]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("ক্অ", [("ক্অ", 3)]),                    # consonant + virama joins any letter
+        ("কা্খ", [("কা্", 3), ("খ", 1)]),          # a virama after a sign is no conjunct
+        ("ক্ ষ", [("ক্", 2), (" ", 1), ("ষ", 1)]),  # whitespace breaks a conjunct
+        ("১্ক", [("১", 1), ("্", 1), ("ক", 1)]),    # nothing attaches to a digit
+        ("ক\u200c্ষ", [("ক\u200c্ষ", 3)]),        # a control is skipped
+        ("\u200cক", [("\u200cক", 1)]),            # leading controls join the first
+        ("\u200c\u200d", [("\u200c\u200d", 0)]),  # controls only: one empty cluster
+    ])
+    def test_attach_rule(self, text, expected):
+        clusters = ab.segment_graphemes(text)
+        assert [(c.text, c.constituent_count) for c in clusters] == expected
+
     def test_zwj_attaches_without_counting(self):
         clusters = ab.segment_graphemes("র‍্য")
         assert len(clusters) == 1
@@ -268,7 +281,8 @@ class TestCharTable:
 
 
 # The per-character loops that normalization and decomposition ran
-# before their regular-expression fast paths, kept as the oracle.
+# before their regular-expression fast paths, and the segmenter that
+# kept each cluster's codepoints and classes in lists, kept as the oracle.
 
 def _oracle_compose(text: str, table: ab.CharTable) -> str:
     out: list[str] = []
@@ -294,6 +308,52 @@ def _oracle_output_stream(text: str, table: ab.CharTable) -> str:
     return _oracle_normalize("".join(
         ch for ch in text
         if table.classify(ord(ch)) is not CC.ZERO_WIDTH_CONTROL), table)
+
+
+def _oracle_segment_graphemes(text: str, table: ab.CharTable
+                              ) -> list[ab.GraphemeCluster]:
+    text = ab.normalize(text, table)
+    clusters: list[ab.GraphemeCluster] = []
+    cur: list[str] = []
+    eff: list[CC] = []  # classes of the non-ZWC codepoints in cur
+    pending = ""  # leading zero-width controls before the first cluster
+
+    def flush() -> None:
+        if cur:
+            joined = "".join(cur)
+            # Dropping controls may join a composing pair (ড ZWNJ nukta).
+            count = len(ab.to_output_stream(joined, table)) if len(cur) > len(eff) else len(eff)
+            clusters.append(ab.GraphemeCluster(joined, count))
+
+    for ch in text:
+        cls = table.classify(ord(ch))
+        if cls is CC.ZERO_WIDTH_CONTROL:
+            if cur:
+                cur.append(ch)
+            else:
+                pending += ch
+            continue
+        attach = False
+        if eff and eff[-1] not in _SINGLETON:
+            if cls in _ATTACHING:
+                attach = True
+            elif (len(eff) >= 2
+                  and eff[-1] is CC.VIRAMA
+                  and eff[-2] is CC.CONSONANT
+                  and cls not in _SINGLETON):
+                attach = True
+        if not attach:
+            flush()
+            cur = list(pending)
+            eff = []
+            pending = ""
+        cur.append(ch)
+        eff.append(cls)
+    flush()
+    if pending and not clusters:
+        # Degenerate all-control text: keep it, zero constituents.
+        clusters.append(ab.GraphemeCluster(pending, 0))
+    return clusters
 
 
 def _outcome(fn, *args):
@@ -346,6 +406,16 @@ class TestFastPathsMatchOracle:
     def test_to_output_stream(self, table, text):
         fast = _outcome(lambda: ab.to_output_stream(text, table).text)
         assert fast == _outcome(_oracle_output_stream, text, table)
+
+    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED],
+                             ids=["builtin", "reclassified"])
+    @given(text=_oracle_text)
+    @settings(max_examples=300)
+    def test_segment_graphemes(self, table, text):
+        def pairs(segment):
+            return [(c.text, c.constituent_count) for c in segment(text, table)]
+        assert (_outcome(pairs, ab.segment_graphemes)
+                == _outcome(pairs, _oracle_segment_graphemes))
 
     def test_records_outside_unicode_never_match(self):
         # Table files accept any hex number; no text holds such a codepoint.
