@@ -13,8 +13,9 @@ therefore needs two views of the same text:
   produced by :func:`segment_graphemes` and kept only for differential
   comparison against older character-counting conventions.
 
-Both views agree on totals: the constituent counts of the clusters of a
-text sum to its output-stream length.
+Clusters are cut from the output-stream text, so both views agree on
+totals under any table: the clusters of a text concatenate to its
+output-stream text, and their constituent counts sum to its length.
 
 Classification and pairwise composition are table driven so another
 script can be swapped in from a plain text table file (see
@@ -161,10 +162,13 @@ class OutputStream:
 
 @dataclass(frozen=True, slots=True)
 class GraphemeCluster:
-    """One visual unit and the number of constituents it flattens to."""
+    """One visual unit, a slice of an output-stream text."""
 
     text: str
-    constituent_count: int
+
+    @property
+    def constituent_count(self) -> int:
+        return len(self.text)
 
 
 @dataclass(frozen=True)
@@ -335,44 +339,35 @@ _SINGLETON = (CodepointClass.WHITESPACE, CodepointClass.DIGIT)
 
 
 def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[GraphemeCluster]:
-    """Split ``text`` into visual grapheme clusters.
+    """Split the output stream of ``text`` into visual grapheme clusters.
 
-    Each non-control codepoint of the normalized text opens a new
-    cluster, unless the previous non-control codepoint is neither
-    whitespace nor a digit and the codepoint either attaches (a
-    dependent vowel sign, a modifier sign or the virama) or follows
-    consonant + virama and is neither whitespace nor a digit (a
-    conjunct).  Looking back at the last two non-control codepoints of
-    the text, not of the cluster, is exact: a consonant enters a cluster
-    only first or right after consonant + virama, and a virama after
-    anything but whitespace or a digit always attaches, so such a
-    consonant + virama pair always lies in the open cluster.
+    Each codepoint of the output-stream text opens a new cluster, unless
+    the previous codepoint is neither whitespace nor a digit and the
+    codepoint either attaches (a dependent vowel sign, a modifier sign
+    or the virama) or follows consonant + virama and is neither
+    whitespace nor a digit (a conjunct).  Looking back at the last two
+    codepoints of the text, not of the cluster, is exact: a consonant
+    enters a cluster only first or right after consonant + virama, and
+    a virama after anything but whitespace or a digit always attaches,
+    so such a consonant + virama pair always lies in the open cluster.
 
-    Zero-width controls never count as constituents and stay in the
-    cluster they follow, or in the first one if they lead; a text of
-    controls only is one cluster of none.  Clusters are slices of the
-    normalized text, and their counts sum to its output-stream length.
+    Clusters are slices of the output-stream text, which holds no
+    zero-width controls: they concatenate to it under any table, and
+    their constituent counts sum to its length.
     """
-    text = normalize(text, table)
+    text = to_output_stream(text, table).text
     clusters: list[GraphemeCluster] = []
-    prev2 = prev = None  # classes of the last two non-control codepoints
-    start = count = 0  # the open cluster's first index and constituent count
+    prev2 = prev = None  # classes of the last two codepoints
+    start = 0  # the open cluster's first index
     for i, ch in enumerate(text):
         cls = table.classify(ord(ch))
-        if cls is CodepointClass.ZERO_WIDTH_CONTROL:
-            continue
-        if count and (prev in _SINGLETON or not (
+        if i and (prev in _SINGLETON or not (
                 cls in _ATTACHING
                 or (prev is CodepointClass.VIRAMA and prev2 is CodepointClass.CONSONANT
                     and cls not in _SINGLETON))):
-            clusters.append(GraphemeCluster(text[start:i], count))
-            start, count = i, 0
-        count += 1
+            clusters.append(GraphemeCluster(text[start:i]))
+            start = i
         prev2, prev = prev, cls
     if text:
-        clusters.append(GraphemeCluster(text[start:], count))
-    # A cluster that holds a control is counted flat: dropping the
-    # control may join a composing pair (ড ZWNJ nukta).
-    return [c if len(c.text) == c.constituent_count
-            else GraphemeCluster(c.text, len(to_output_stream(c.text, table)))
-            for c in clusters]
+        clusters.append(GraphemeCluster(text[start:]))
+    return clusters

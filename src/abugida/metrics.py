@@ -17,8 +17,10 @@ Bengali corpus average; pass your own for a different corpus (see the
 
 ``naive_metrics`` runs the same pipeline and replay over grapheme
 clusters instead of constituents, reproducing the older convention for
-side-by-side comparison.  On conjunct-free text the two agree exactly;
-conjuncts pull the naive lengths down and distort rates.
+side-by-side comparison.  The clusters are cut from the same output
+stream, so zero-width controls count in neither view.  On conjunct-free
+text the two agree exactly; conjuncts pull the naive lengths down and
+distort rates.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bengali import BENGALI_TABLE, segment_graphemes, to_output_stream
+from .bengali import BENGALI_TABLE, OutputStream, segment_graphemes, to_output_stream
 from .errors import (
     AbugidaError,
     EmptyGroupError,
@@ -38,12 +40,7 @@ from .errors import (
     ZeroDurationError,
 )
 from .msd import CostMode, CostModel, TechniqueProfile, align_symbols, msd
-from .streams import (
-    build_input_stream,
-    replay_events,
-    replay_matches,
-    session_duration_s,
-)
+from .streams import build_input_stream, replay_events, session_duration_s
 
 if TYPE_CHECKING:
     from .sessionio import SessionRecord
@@ -98,8 +95,9 @@ class MetricConfig:
 class SessionIntermediates:
     """Audit trail of the quantities the metrics were computed from.
 
-    From :func:`naive_metrics` the stream lengths, INF, and MSD are
-    measured in grapheme clusters rather than constituent characters.
+    From :func:`naive_metrics` the stream lengths, INF, MSD and IF are
+    measured in grapheme clusters of the output stream rather than in
+    its constituent characters.
     """
 
     is_length: int
@@ -203,13 +201,15 @@ def _evaluate(session: "SessionRecord",
     cost = CostModel(config.msd_cost_mode)
 
     # The view's symbols: grapheme clusters aligned without unit costs, or
-    # constituents.  Erased atoms are counted in the same symbols.
+    # constituents.  Either way they concatenate to the output-stream text,
+    # which replay must reproduce; erased atoms are counted in them too.
     if naive:
         symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
         align = lambda t, p: align_symbols(t, p, None, None, cost, script=False)
     else:
-        symbols = lambda text: to_output_stream(text, table)
-        align = lambda t, p: msd(t, p, profile, cost, script=False)
+        symbols = lambda text: to_output_stream(text, table).text
+        align = lambda t, p: msd(OutputStream(t), OutputStream(p), profile, cost,
+                                 script=False)
     sym_p, sym_t = symbols(session.presented), symbols(session.transcribed)
     p_len, t_len = len(sym_p), len(sym_t)
     alignment = align(sym_t, sym_p)
@@ -221,7 +221,7 @@ def _evaluate(session: "SessionRecord",
     inf = session.inf_override if session.inf_override is not None else alignment.inf
 
     replay = replay_events(stream, profile)
-    if not replay_matches(replay.text, session.transcribed, table):
+    if replay.text != "".join(sym_t):
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "
             f"{session.transcribed!r}")

@@ -251,6 +251,15 @@ class TestDecompose:
         assert code == 0
         assert out.splitlines() == ["কা\t2", "ন্ড\t3", "clusters\t2"]
 
+    @pytest.mark.parametrize("text, lines", [
+        ("ক্\u200cষা", ["ক্ষা\t4", "clusters\t1"]),
+        ("\u200c\u200d", ["clusters\t0"]),
+    ])
+    def test_graphemes_drop_zero_width_controls(self, capsys, text, lines):
+        code, out, _ = run(capsys, "decompose", "--graphemes", text)
+        assert code == 0
+        assert out.splitlines() == lines
+
     def test_empty_text(self, capsys):
         code, out, _ = run(capsys, "decompose", "")
         assert code == 0
@@ -335,6 +344,17 @@ class TestCompareNaive:
         for line in out.splitlines()[1:]:
             delta = line.split(",")[4]
             assert delta in ("0.00", "0.00%")
+
+    def test_zero_width_control_counts_in_neither_view(self, capsys, tmp_path):
+        typed = clean_log_obj("c1", text="ক্ষা")
+        zwnj = dict(clean_log_obj("c2", text="ক্ষা"), transcribed="ক্\u200cষা")
+        log = write_jsonl(tmp_path / "log.jsonl", [typed, zwnj])
+        profile = write_json(tmp_path / "p.json", basic_profile_obj())
+        code, out, _ = run(capsys, "compare-naive", log, "--profiles", profile)
+        assert code == 0
+        rows = {l.split(",")[1]: l.split(",")[2:] for l in out.splitlines()[1:]}
+        for metric in ("er_bn", "msder_bn", "total_error_rate"):
+            assert rows[metric] == ["0.00%", "0.00%", "0.00%"]
 
     def test_sidebar_log_diverges(self, capsys, sidebar_log_file,
                                   sidebar_profile_file):

@@ -275,6 +275,18 @@ class TestNaiveMetrics:
         assert (naive.fixes, naive.incorrect_fixed) == (1, 2)
         assert (proposed.fixes, proposed.incorrect_fixed) == (1, 5)
 
+    @pytest.mark.parametrize("presented, transcribed", [
+        ("ক্ষা", "ক্\u200cষা"),  # ZWNJ in the transcription
+        ("ক্ষা", "ক্\u200dষা"),  # ZWJ in the transcription
+        ("ক্\u200cষা", "ক্ষা"),  # a control in the presented text
+    ])
+    def test_zero_width_controls_are_no_clusters(self, presented, transcribed):
+        events = clean_events("ক্ষা")
+        plain = ab.naive_metrics(record("ক্ষা", "ক্ষা", events), None)
+        assert plain.intermediates.os_t_length == 1
+        assert plain.er_bn == plain.msder_bn == 0.0
+        assert ab.naive_metrics(record(presented, transcribed, events), None) == plain
+
     def test_events_must_replay_to_transcription(self):
         rec = record("কখ", "কখ", clean_events("ক"), session_id="tampered-2")
         with pytest.raises(ab.TranscriptionMismatchError,

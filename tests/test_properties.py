@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
+from abugida.bengali import ZERO_WIDTH_CONTROLS
 from abugida.streams import replay_matches
 
 UNITS = ("ক্ষ", "ন্ড", "স্ত")
@@ -23,6 +24,7 @@ UNITS = ("ক্ষ", "ন্ড", "স্ত")
 # grapheme cluster of a text made of these is one codepoint.
 SINGLE = ("ক", "খ", "ত", "ষ", "অ", "আ", "১", " ")
 MARKS = ("া", "ি", "ে", "্")
+CONTROLS = st.sampled_from(sorted(map(chr, ZERO_WIDTH_CONTROLS)))
 
 ACTIONS = ("type",) * 6 + ("omit", "stray-kept", "stray-fixed", "substitute", "mod")
 
@@ -98,6 +100,25 @@ def test_views_agree_when_every_cluster_is_one_codepoint(granularity, data):
     record, profile = data.draw(
         typed_sessions(granularity, chars=SINGLE, units=()))
     assert ab.naive_metrics(record, profile) == ab.analyze_session(record, profile)
+
+
+@pytest.mark.parametrize("view", [ab.analyze_session, ab.naive_metrics])
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_width_controls_change_no_metric(view, granularity, data):
+    record, profile = data.draw(typed_sessions(granularity))
+
+    def with_controls(text: str) -> str:
+        for control in data.draw(st.lists(CONTROLS, min_size=1, max_size=3)):
+            i = data.draw(st.integers(min_value=0, max_value=len(text)))
+            text = text[:i] + control + text[i:]
+        return text
+
+    changed = dataclasses.replace(record,
+                                  presented=with_controls(record.presented),
+                                  transcribed=with_controls(record.transcribed))
+    assert view(changed, profile) == view(record, profile)
 
 
 @pytest.mark.parametrize("view", [ab.analyze_session, ab.naive_metrics])
