@@ -11,24 +11,24 @@ for sensitivity comparisons.
 Unit operations only apply where the greedy leftmost-longest
 segmentation (:func:`atomic_unit_segment`) actually finds a declared
 unit, so the dynamic program stays a standard weighted alignment with a
-few extra transitions.  Ties are broken deterministically: match over
-substitute over delete over insert, and basic-character transitions
-over unit transitions.
+few extra transitions.  Its costs are integers, in units of 1/L (L is
+the least common multiple of the unit lengths), so ties are exact; they
+are broken deterministically: match over substitute over delete over
+insert, and basic-character transitions over unit transitions.
 
 A :class:`TechniqueProfile` carries the classification table it was
 built under and flattens its units under it once, when it is built;
 :func:`msd` and :func:`atomic_unit_segment` read those and take no
 table.
 
-:func:`align_symbols` gives the full table's distance, INF and script
-but computes only a band of diagonals around the optimal path (Ukkonen
-1985), sized from a first, narrow pass's cost.  INF is carried forward
-along each cell's argmin, so no table is needed for it, and only the
-last k + 1 rows are kept (k is the longest unit).  The edit script's
-backpointers are stored, for the band only, when ``script=True``; the
-metrics ask for ``script=False``.  Time grows with length times band
-width, not with the product of the lengths, and without a script memory
-grows with length alone.
+:func:`align_symbols` gives the exact full table's distance, INF and
+script but fills only a band of diagonals around the optimal path
+(Ukkonen 1985), sized from a first, narrow pass's cost and from the
+longest unit's edit, the cheapest step per diagonal.  It keeps the last
+k + 1 rows (k is the longest unit), carries INF along each cell's
+argmin, and stores the band's backpointers only when ``script=True``;
+the metrics ask for ``script=False``.  Time grows with length times
+band width, and without a script memory grows with length alone.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class TechniqueProfile:
     """How a text-entry technique maps actions to constituent characters.
 
     ``atomic_units`` are canonical text, as the profile parser makes
-    them: replay compares unit payloads with them as they are.
-    ``unit_keys`` names the keys that commit each declared unit.  The
-    profile parser checks that every payload is a declared unit, but it
-    is metadata only: replay and alignment never read it.
+    them.  ``unit_keys`` names the keys that commit each declared unit.
+    The profile parser checks that every payload is a declared unit, but
+    it is metadata only: replay and alignment never read it.
 
     ``table`` is the classification table the profile is evaluated
     under: replay and the metrics flatten the session's texts with it,
@@ -85,7 +84,8 @@ class TechniqueProfile:
     compared or shown, and ``dataclasses.replace`` keeps it.
     ``unit_seqs`` is derived once, here: the units' output-stream text
     under ``table``, those of two symbols or more, longest first.
-    Alignment and :func:`atomic_unit_segment` read it.
+    Alignment and :func:`atomic_unit_segment` read it, and replay takes a
+    unit payload as declared when its output-stream text is one of them.
     """
 
     technique_id: str
@@ -229,8 +229,6 @@ _DELETE = (EditOpKind.DELETE, 1, 0, 1.0)
 _INSERT = (EditOpKind.INSERT, 0, 1, 1.0)
 # The first pass keeps this many diagonals on each side of [0, n - m].
 _NARROW = 4
-# Relative slack on the band's cost bound, far above float rounding.
-_SLACK = 1e-9
 
 _Op = tuple[EditOpKind, int, int, float]
 
@@ -245,32 +243,20 @@ def _checked_units(units: Mapping[int, int] | None, length: int,
     return checked
 
 
-def _cost_per_offset(ua: Mapping[int, int], ub: Mapping[int, int],
-                     cost: CostModel) -> float:
-    """Least cost per diagonal moved, over every transition the maps allow."""
-    lens_a, lens_b = set(ua.values()), set(ub.values())
-    c = 1.0  # basic steps
-    for k in lens_a | lens_b:
-        c = min(c, cost.unit_edit_cost(k) / k)
-    for ka in lens_a:
-        for kb in lens_b - {ka}:
-            c = min(c, cost.unit_substitute_cost(ka, kb) / abs(ka - kb))
-    return c
-
-
 def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
-               ua: Mapping[int, int], ub: Mapping[int, int], cost: CostModel,
-               lo: int, hi: int, script: bool,
-               ) -> tuple[float, int, tuple[EditOp, ...]]:
+               ua: Mapping[int, int], ub: Mapping[int, int], step: int,
+               edit_w: Mapping[int, int], sub_w: Mapping[tuple[int, int], int],
+               lo: int, hi: int, script: bool) -> tuple[int, int, tuple[EditOp, ...]]:
     """The DP over the cells with lo <= j - i <= hi; the rest cost INF.
 
+    Basic steps cost ``step``, unit steps ``edit_w[k]`` or ``sub_w[ka, kb]``.
     Rows are indexed by j + 1, so position 0 is an INF column left of the
-    table.  Only the last k + 1 rows are kept (k is the longest unit),
-    each with the INF count carried along its cell's argmin; with
-    ``script`` the band's ops are kept for the backtrack.
+    table.  Only the last k + 1 rows are kept (k is the longest unit), each
+    with the INF count carried along its cell's argmin; with ``script`` the
+    band's ops are kept for the backtrack.
     """
     m, n = len(a), len(b)
-    depth = max((*ua.values(), *ub.values()), default=0) + 1
+    depth = max(edit_w, default=0) + 1
     bb = (_NO_SYMBOL,) + b
     kbs = [0] * (n + 1)
     for j, kb in ub.items():
@@ -287,11 +273,11 @@ def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
         if ka:
             urow, urowf = dist[(i - ka) % depth], infs[(i - ka) % depth]
             sa = a[i - ka:i]
-            del_w = cost.unit_edit_cost(ka)
+            del_w = edit_w[ka]
         js, je = max(0, i + lo), min(n, i + hi)
         ops: list[_Op | None] = []
         if i == 0:
-            row[1] = 0.0
+            row[1] = 0
             ops.append(None)
         j0 = js + (i == 0)
         left, leftf = row[j0], rowf[j0]
@@ -302,31 +288,31 @@ def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
             if ai == bj:
                 best, f, op = dg, dgf, _MATCH
             else:
-                best, f, op = dg + 1.0, dgf + 1, _SUBSTITUTE
-            c = up + 1.0
+                best, f, op = dg + step, dgf + 1, _SUBSTITUTE
+            c = up + step
             if c < best:
                 best, f, op = c, upf + 1, _DELETE
-            c = left + 1.0
+            c = left + step
             if c < best:
                 best, f, op = c, leftf + 1, _INSERT
             if kb or ka:
                 if kb and ka and sa != b_units[j]:
-                    w = cost.unit_substitute_cost(ka, kb)
+                    w = sub_w[ka, kb]
                     c = urow[j - kb + 1] + w
                     if c < best:
                         best, f = c, urowf[j - kb + 1] + max(ka, kb)
-                        op = (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w)
+                        op = (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w / step)
                 if ka:
                     c = urow[j + 1] + del_w
                     if c < best:
                         best, f = c, urowf[j + 1] + ka
-                        op = (EditOpKind.UNIT_DELETE, ka, 0, del_w)
+                        op = (EditOpKind.UNIT_DELETE, ka, 0, del_w / step)
                 if kb:
-                    w = cost.unit_edit_cost(kb)
+                    w = edit_w[kb]
                     c = row[j - kb + 1] + w
                     if c < best:
                         best, f = c, rowf[j - kb + 1] + kb
-                        op = (EditOpKind.UNIT_INSERT, 0, kb, w)
+                        op = (EditOpKind.UNIT_INSERT, 0, kb, w / step)
             row[j + 1] = left = best
             rowf[j + 1] = leftf = f
             if script:
@@ -364,38 +350,53 @@ def align_symbols(a: Sequence[str],
     Symbols are compared by equality; for output streams they are single
     characters, for the legacy view they are grapheme cluster texts.
 
-    The result equals the full (m+1)×(n+1) table's, ties included, but
-    only a band of diagonals d = j - i is computed (Ukkonen 1985).  A
-    step that moves k diagonals costs at least c_min·k, where c_min is 1
-    for basic steps and the least unit cost per symbol of length
-    difference, so a path through diagonal d costs at least
-    c_min·(|d| + |d − δ|) with δ = n − m.  A first pass in the band
-    [min(0, δ) − 4, max(0, δ) + 4] gives an upper bound U, and a second
-    pass keeps the diagonals whose bound is within U: every optimal or
-    tied path lies there, so each of its cells gets the full table's
-    value and argmin.  INF, the width of every non-match step on the
-    path, is carried forward along each cell's argmin.
+    Costs are integers in units of 1/L, L being the least common multiple
+    of the unit lengths in both maps (1 without units): a basic step costs
+    L, a unit step L times its :class:`CostModel` cost, a whole number.
+    The distance is D / L, and distance, INF and script are the exact full
+    (m+1)×(n+1) table's, ties included.
+
+    Only a band of diagonals d = j - i is computed (Ukkonen 1985).  Per
+    diagonal moved, a basic step costs L and a unit edit of length k' costs
+    L/k'² (``paper``) or L/k' (``normalized``); a substitution of lengths
+    ka ≠ kb moves |ka − kb| < max(ka, kb) diagonals for L/max(ka, kb) or
+    L, more than the longer unit's edit.  So the longest unit k's edit,
+    w_k / k (L without units), is the cheapest, and a path through d costs
+    at least (w_k / k)·(|d| + |d − δ|), δ = n − m.  A first pass in
+    [min(0, δ) − 4, max(0, δ) + 4] costs D, and a second keeps every d
+    with |d| + |d − δ| <= D·k // w_k: every optimal or tied path lies
+    there, with the full table's value and argmin in each of its cells.
+    INF, the width of every non-match step, is carried along the argmins.
 
     Time is O((m + n)·w) for a band of w diagonals, and memory O(k·n)
-    for the last k + 1 rows, k being the longest unit.  ``script=False``
-    skips the edit script (``result.script == ()``); otherwise the
-    band's backpointers add O(m·w).
+    for the last k + 1 rows.  ``script=False`` skips the edit script
+    (``result.script == ()``); otherwise the band's backpointers add
+    O(m·w).
     """
     a = tuple(a)
     b = tuple(b)
     m, n = len(a), len(b)
     ua = _checked_units(units_a, m, "units_a")
     ub = _checked_units(units_b, n, "units_b")
+    step = math.lcm(*ua.values(), *ub.values())
+    # Each product is a whole number; round() only undoes the float's error.
+    edit_w = {k: round(cost.unit_edit_cost(k) * step)
+              for k in {*ua.values(), *ub.values()}}
+    sub_w = {(ka, kb): round(cost.unit_substitute_cost(ka, kb) * step)
+             for ka in set(ua.values()) for kb in set(ub.values())}
     delta = n - m
     lo, hi = min(0, delta) - _NARROW, max(0, delta) + _NARROW
-    distance, inf, steps = _band_pass(a, b, ua, ub, cost, lo, hi, script)
+    distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, sub_w,
+                                      lo, hi, script)
     if lo > -m or hi < n:  # the first band left cells out: bound the rest
-        reach = distance * (1.0 + _SLACK) / _cost_per_offset(ua, ub, cost)
-        lo2 = max(-m, math.ceil((delta - reach) / 2))
-        hi2 = min(n, math.floor((delta + reach) / 2))
+        k = max(edit_w, default=1)
+        reach = distance * k // edit_w.get(k, step)
+        lo2 = max(-m, -((reach - delta) // 2))
+        hi2 = min(n, (delta + reach) // 2)
         if lo2 < lo or hi2 > hi:
-            distance, inf, steps = _band_pass(a, b, ua, ub, cost, lo2, hi2, script)
-    return AlignmentResult(distance, steps, inf)
+            distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, sub_w,
+                                              lo2, hi2, script)
+    return AlignmentResult(distance / step, steps, inf)
 
 
 def msd(a: OutputStream,

@@ -127,17 +127,16 @@ def replay_events(events: Iterable[KeyEvent],
 
     With ``profile=None`` the replay is permissive: unit payloads are
     accepted without declaration and erased per character, and texts are
-    flattened under ``BENGALI_TABLE``; with a profile, an undeclared unit
-    payload raises :class:`UnknownUnitError`, and texts are flattened
-    under ``profile.table``.  Either way, a backspace that finds nothing
+    flattened under ``BENGALI_TABLE``; with a profile, texts are flattened
+    under ``profile.table``, and a unit payload whose output-stream text
+    is no declared unit's (``profile.unit_seqs``) raises
+    :class:`UnknownUnitError`.  Either way, a backspace that finds nothing
     to erase raises :class:`ReplayUnderflowError`.
     """
     table = BENGALI_TABLE
-    unit_texts: frozenset[str] | None = None
     per_unit = False
     if profile is not None:
         table = profile.table
-        unit_texts = profile.atomic_units
         per_unit = profile.backspace_granularity is BackspaceGranularity.UNIT
 
     atoms: list[str] = []
@@ -146,11 +145,10 @@ def replay_events(events: Iterable[KeyEvent],
         if ev.kind is KeyEventKind.CHAR:
             atoms.extend(to_output_stream(ev.payload, table).text)
         elif ev.kind is KeyEventKind.UNIT:
-            text = normalize(ev.payload, table)
-            if unit_texts is not None and text not in unit_texts:
+            chars = to_output_stream(ev.payload, table).text
+            if profile is not None and chars not in profile.unit_seqs:
                 raise UnknownUnitError(
-                    f"unit payload {text!r} not declared by the profile")
-            chars = to_output_stream(text, table).text
+                    f"unit payload {ev.payload!r} not declared by the profile")
             if per_unit:
                 atoms.append(chars)
             else:

@@ -1,15 +1,17 @@
 """The banded aligner against the full (m+1)×(n+1) table it replaced.
 
-``full_table_align`` fills every cell and backtracks a stored
-backpointer table, with the same tie order (match, substitute, delete,
-insert; basic steps before unit steps).  The banded aligner must give
-the same distance, INF and edit script, float for float.
+``full_table_align`` fills every cell in exact ``Fraction`` arithmetic
+and backtracks a stored backpointer table, with the same tie order
+(match, substitute, delete, insert; basic steps before unit steps).
+The banded aligner must give the same INF and edit script, and the
+exact distance correctly rounded to a float.
 """
 
 from __future__ import annotations
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +28,27 @@ COSTS = (ab.CostModel(ab.CostMode.PAPER_LITERAL),
          ab.CostModel(ab.CostMode.NORMALIZED_UNIT))
 
 
+def exact_costs(cost: ab.CostModel):
+    """The unit edit and substitution costs as fractions, restated."""
+    if cost.mode is ab.CostMode.PAPER_LITERAL:
+        return (lambda k: Fraction(1, k)), (lambda ka, kb: Fraction(1, max(ka, kb)))
+    return (lambda k: Fraction(1)), (lambda ka, kb: Fraction(1))
+
+
 def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
-    """Distance, INF and script from the whole table."""
+    """Distance, INF and script from the whole table, in exact arithmetic.
+
+    The distance is returned as a ``Fraction``; each op's cost as the
+    float of its exact cost.
+    """
     ua = units_a or {}
     ub = units_b or {}
+    edit_cost, substitute_cost = exact_costs(cost)
+    zero, one = Fraction(0), Fraction(1)
     a = tuple(a)
     b = tuple(b)
     m, n = len(a), len(b)
-    dp = [[0.0] * (n + 1) for _ in range(m + 1)]
+    dp = [[zero] * (n + 1) for _ in range(m + 1)]
     bp = [[None] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
         for j in range(n + 1):
@@ -45,33 +60,33 @@ def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
                 if a[i - 1] == b[j - 1]:
                     c = dp[i - 1][j - 1]
                     if c < best:
-                        best, op = c, (EditOpKind.MATCH, 1, 1, 0.0)
+                        best, op = c, (EditOpKind.MATCH, 1, 1, zero)
                 else:
-                    c = dp[i - 1][j - 1] + 1.0
+                    c = dp[i - 1][j - 1] + one
                     if c < best:
-                        best, op = c, (EditOpKind.SUBSTITUTE, 1, 1, 1.0)
+                        best, op = c, (EditOpKind.SUBSTITUTE, 1, 1, one)
             if i > 0:
-                c = dp[i - 1][j] + 1.0
+                c = dp[i - 1][j] + one
                 if c < best:
-                    best, op = c, (EditOpKind.DELETE, 1, 0, 1.0)
+                    best, op = c, (EditOpKind.DELETE, 1, 0, one)
             if j > 0:
-                c = dp[i][j - 1] + 1.0
+                c = dp[i][j - 1] + one
                 if c < best:
-                    best, op = c, (EditOpKind.INSERT, 0, 1, 1.0)
+                    best, op = c, (EditOpKind.INSERT, 0, 1, one)
             ka = ua.get(i)
             kb = ub.get(j)
             if ka is not None and kb is not None and a[i - ka:i] != b[j - kb:j]:
-                w = cost.unit_substitute_cost(ka, kb)
+                w = substitute_cost(ka, kb)
                 c = dp[i - ka][j - kb] + w
                 if c < best:
                     best, op = c, (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w)
             if ka is not None:
-                w = cost.unit_edit_cost(ka)
+                w = edit_cost(ka)
                 c = dp[i - ka][j] + w
                 if c < best:
                     best, op = c, (EditOpKind.UNIT_DELETE, ka, 0, w)
             if kb is not None:
-                w = cost.unit_edit_cost(kb)
+                w = edit_cost(kb)
                 c = dp[i][j - kb] + w
                 if c < best:
                     best, op = c, (EditOpKind.UNIT_INSERT, 0, kb, w)
@@ -82,7 +97,7 @@ def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
     i, j = m, n
     while i > 0 or j > 0:
         kind, da, db, w = bp[i][j]
-        ops.append(EditOp(kind, i - da, j - db, a[i - da:i], b[j - db:j], w))
+        ops.append(EditOp(kind, i - da, j - db, a[i - da:i], b[j - db:j], float(w)))
         i -= da
         j -= db
     ops.reverse()
@@ -97,16 +112,20 @@ def unit_ends(text: str, profile: ab.TechniqueProfile | None) -> dict[int, int]:
             for seg in ab.atomic_unit_segment(stream, profile) if seg.is_unit}
 
 
-def assert_matches_oracle(a: str, b: str, profile=None) -> None:
-    """Banded equals full table in both cost modes, with and without script."""
-    sa, sb = ab.to_output_stream(a).text, ab.to_output_stream(b).text
-    ua, ub = unit_ends(a, profile), unit_ends(b, profile)
+def assert_aligns_exactly(sa, sb, ua, ub) -> None:
+    """Banded equals the exact table in both cost modes, with and without script."""
     for cost in COSTS:
-        want = full_table_align(sa, sb, ua, ub, cost)
+        exact, inf, script = full_table_align(sa, sb, ua, ub, cost)
         got = align_symbols(sa, sb, ua, ub, cost)
-        assert (got.distance, got.inf, got.script) == want, (a, b, cost)
+        assert (got.distance, got.inf, got.script) == (float(exact), inf, script), (
+            sa, sb, ua, ub, cost)
         bare = align_symbols(sa, sb, ua, ub, cost, script=False)
-        assert (bare.distance, bare.inf, bare.script) == (want[0], want[1], ())
+        assert (bare.distance, bare.inf, bare.script) == (float(exact), inf, ())
+
+
+def assert_matches_oracle(a: str, b: str, profile=None) -> None:
+    sa, sb = ab.to_output_stream(a).text, ab.to_output_stream(b).text
+    assert_aligns_exactly(sa, sb, unit_ends(a, profile), unit_ends(b, profile))
 
 
 LATIN_UNITS = ("ab", "cde", "abc", "dd", "eabcd")
@@ -170,6 +189,44 @@ def test_long_typed_like_pairs_match_full_table():
             else:
                 b[at:at] = rng.choices("abcde", k=span)
         assert_matches_oracle(a, "".join(b), profile)
+
+
+@st.composite
+def unit_maps(draw, length: int) -> dict[int, int]:
+    """Any valid map: some ends, each with a unit of length 1 to 5."""
+    ends = draw(st.sets(st.integers(1, length))) if length else set()
+    return {end: draw(st.integers(1, min(5, end))) for end in sorted(ends)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_arbitrary_unit_maps_match_exact_table(data):
+    # Pins the band bound: the longest unit's edit is the cheapest step
+    # per diagonal, whichever side holds it.  A shared middle lets the
+    # optimal path leave the first band through cheap unit edits.
+    shared = data.draw(st.text("abc", max_size=12))
+    a = data.draw(st.text("abc", max_size=8)) + shared
+    b = shared + data.draw(st.text("abc", max_size=8))
+    assert_aligns_exactly(a, b, data.draw(unit_maps(len(a))),
+                          data.draw(unit_maps(len(b))))
+
+
+class TestExactTies:
+    def test_float_rounding_no_longer_picks_inf(self):
+        profile = ab.TechniqueProfile("latin", frozenset(LATIN_UNITS))
+        a, b = "abeabcbac", "babaacde"
+        result = align_symbols(a, b, unit_ends(a, profile), unit_ends(b, profile))
+        assert result.inf == 9  # a float table gives 12
+        assert result.distance == 11 / 3
+
+    def test_band_is_sized_by_the_longest_unit(self):
+        # Sized by the 1-symbol units, the second band misses the optimum.
+        assert_aligns_exactly("baaaaac", "aaaacba", {1: 1, 5: 4},
+                              {1: 1, 2: 1, 3: 1, 4: 3})
+
+    def test_distance_is_the_correctly_rounded_fraction(self):
+        result = align_symbols("dbabcdaabcabc", "", {6: 4, 10: 3, 13: 3}, {})
+        assert result.distance == 47 / 12  # float sums give 3.916666666666667
 
 
 class TestUnitMapChecks:

@@ -402,6 +402,20 @@ class TestValidateLog:
         code, _, err = run(capsys, "analyze", log, "--profiles", profile)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("declared, typed", [
+        ("র্য", "র\u200d্য"), ("র\u200d্য", "র্য")])
+    def test_unit_payload_spelled_with_a_zwj(self, capsys, tmp_path, declared, typed):
+        obj = clean_log_obj(technique_id="t", text="র্য")
+        obj["events"] = [{"t": 0, "k": "unit", "p": typed}, {"t": 1500, "k": "mod"}]
+        log = write_jsonl(tmp_path / "log.jsonl", [obj])
+        profile = write_json(tmp_path / "p.json", {
+            "technique_id": "t", "atomic_units": [declared],
+            "backspace_granularity": "unit"})
+        code, out, _ = run(capsys, "validate-log", log, "--profiles", profile)
+        assert (code, out) == (0, "c1\tMATCH\n")
+        code, _, err = run(capsys, "analyze", log, "--profiles", profile)
+        assert (code, err) == (0, "")
+
     def test_edit_keys_reported_per_session(self, capsys, tmp_path,
                                             sidebar_profile_file):
         with_edit = sidebar_log_obj("s-edit")

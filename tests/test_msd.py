@@ -2,8 +2,8 @@
 
 The oracles recompute distances by plain recursion over the allowed
 transitions, with their own greedy unit segmentation, sharing no code
-with the engine.  Unit costs here are dyadic (1/2, 1/4), so float
-comparisons against the oracle can be exact.
+with the engine.  The unit oracle computes in exact fractions, and the
+engine's distance must be its correctly rounded float.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -53,16 +54,16 @@ def greedy_ends(s: str, units: list[str]) -> dict[int, int]:
     return ends
 
 
-def unit_oracle(a: str, b: str, units: list[str], normalized: bool = False) -> float:
-    """Distance with whole-unit transitions, by plain recursion."""
+def unit_oracle(a: str, b: str, units: list[str], normalized: bool = False) -> Fraction:
+    """Exact distance with whole-unit transitions, by plain recursion."""
     ua, ub = greedy_ends(a, units), greedy_ends(b, units)
 
-    def unit_cost(n: int) -> float:
-        return 1.0 if normalized else 1.0 / n
+    def unit_cost(n: int) -> Fraction:
+        return Fraction(1) if normalized else Fraction(1, n)
 
-    def rec(i: int, j: int) -> float:
+    def rec(i: int, j: int) -> Fraction:
         if i == 0 and j == 0:
-            return 0.0
+            return Fraction(0)
         best = float("inf")
         if i > 0 and j > 0:
             best = min(best, rec(i - 1, j - 1) + (a[i - 1] != b[j - 1]))
@@ -72,7 +73,7 @@ def unit_oracle(a: str, b: str, units: list[str], normalized: bool = False) -> f
             best = min(best, rec(i, j - 1) + 1)
         ka, kb = ua.get(i), ub.get(j)
         if ka and kb and a[i - ka:i] != b[j - kb:j]:
-            cost = 1.0 if normalized else 1.0 / max(ka, kb)
+            cost = unit_cost(max(ka, kb))
             best = min(best, rec(i - ka, j - kb) + cost)
         if ka:
             best = min(best, rec(i - ka, j) + unit_cost(ka))
@@ -196,10 +197,10 @@ class TestUnitCosts:
             a = "".join(rng.choice(LATIN) for _ in range(rng.randrange(0, 7)))
             b = "".join(rng.choice(LATIN) for _ in range(rng.randrange(0, 7)))
             got = ab.msd(stream(a), stream(b), UNIT_PROFILE).distance
-            assert got == unit_oracle(a, b, units), (a, b)
+            assert got == float(unit_oracle(a, b, units)), (a, b)
             norm = ab.msd(stream(a), stream(b), UNIT_PROFILE,
                           ab.CostModel(ab.CostMode.NORMALIZED_UNIT)).distance
-            assert norm == unit_oracle(a, b, units, normalized=True), (a, b)
+            assert norm == float(unit_oracle(a, b, units, normalized=True)), (a, b)
 
     def test_cost_mode_monotonicity(self):
         rng = random.Random(7)

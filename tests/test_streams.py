@@ -120,6 +120,28 @@ class TestReplay:
         with pytest.raises(ab.UnknownUnitError):
             ab.replay_events([ev(0, "unit", "ন্ড")], sidebar_profile)
 
+    @pytest.mark.parametrize("declared, typed", [
+        ("র্য", "র\u200d্য"), ("র\u200d্য", "র্য")])
+    def test_unit_is_decided_by_its_output_stream_text(self, declared, typed):
+        # A ZWJ in the declaration or the payload, as keyboards often write.
+        profile = ab.TechniqueProfile("t", frozenset({declared}),
+                                      backspace_granularity="unit")
+        result = ab.replay_events([ev(0, "unit", typed), ev(10, "bksp")], profile)
+        assert result.erased == ("র্য",)
+
+    @pytest.mark.parametrize("typed", ["ন্ড", "ন\u200d্ড", "ন\u200c্ড"])
+    def test_undeclared_unit_rejected_in_any_spelling(self, typed):
+        profile = ab.TechniqueProfile("t", frozenset({"র্য", "ক্ষ"}))
+        with pytest.raises(ab.UnknownUnitError, match="not declared"):
+            ab.replay_events([ev(0, "unit", typed)], profile)
+
+    def test_one_symbol_unit_is_no_unit(self):
+        # The profile parser refuses it; a hand-built profile declares no unit.
+        profile = ab.TechniqueProfile("t", frozenset({"ক", "ক্ষ"}))
+        assert profile.unit_seqs == ("ক্ষ",)
+        with pytest.raises(ab.UnknownUnitError):
+            ab.replay_events([ev(0, "unit", "ক")], profile)
+
     def test_permissive_mode_accepts_any_unit(self):
         assert ab.replay_events([ev(0, "unit", "ন্ড")]).text == "ন্ড"
 
