@@ -2,8 +2,8 @@
 
 All domain errors derive from :class:`AbugidaError` so callers can catch
 one base class at API boundaries.  Constructors accept a plain message;
-a few carry optional structured context (line number, field path) that
-is also folded into the message.
+the code that knows where an error arose sets its context, which
+``str()`` shows before the message.
 """
 
 from __future__ import annotations
@@ -12,10 +12,25 @@ from __future__ import annotations
 class AbugidaError(Exception):
     """Base class for all errors raised by this package.
 
-    Errors raised while evaluating one session carry its id.
+    The code that knows where an error arose sets its context: the
+    session log ``line``, the ``field`` and the ``session_id`` of the
+    session being evaluated.  ``str()`` puts it before the message, as
+    ``session S: line N, field 'F': message``.
     """
 
     session_id: str | None = None
+
+    def __init__(self, message: str = "", *, line: int | None = None,
+                 field: str | None = None):
+        super().__init__(message)
+        self.line, self.field = line, field
+
+    def __str__(self) -> str:
+        where = ", ".join(filter(None, (
+            f"line {self.line}" if self.line is not None else "",
+            f"field {self.field!r}" if self.field is not None else "")))
+        text = f"{where}: {super().__str__()}" if where else super().__str__()
+        return text if self.session_id is None else f"session {self.session_id}: {text}"
 
 
 class InvalidEncodingError(AbugidaError):
@@ -28,17 +43,6 @@ class EncodingError(AbugidaError):
 
 class ParseError(AbugidaError):
     """A log, profile, or table file violates its schema."""
-
-    def __init__(self, message: str, *, line: int | None = None, field: str | None = None):
-        parts = []
-        if line is not None:
-            parts.append(f"line {line}")
-        if field is not None:
-            parts.append(f"field {field!r}")
-        prefix = ", ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-        self.line = line
-        self.field = field
 
 
 class InvalidUnitError(AbugidaError):

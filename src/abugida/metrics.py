@@ -253,12 +253,6 @@ def _evaluate(session: "SessionRecord",
     )
 
 
-def _with_session_context(session: "SessionRecord", err: AbugidaError) -> AbugidaError:
-    wrapped = type(err)(f"session {session.session_id}: {err}")
-    wrapped.session_id = session.session_id
-    return wrapped
-
-
 def analyze_session(session: "SessionRecord",
                     profile: TechniqueProfile | None,
                     config: MetricConfig = MetricConfig()) -> SessionMetrics:
@@ -267,13 +261,14 @@ def analyze_session(session: "SessionRecord",
     Honors ``session.inf_override`` when present; otherwise INF comes
     from the alignment.  Raises :class:`TranscriptionMismatchError` when
     the events do not replay to ``session.transcribed``.  Errors raised
-    by any stage propagate with the session id prefixed and set as
-    their ``session_id``.
+    by any stage propagate with the session id set as their
+    ``session_id``, which their message then opens with.
     """
     try:
         return _evaluate(session, profile, config, naive=False)
     except AbugidaError as err:
-        raise _with_session_context(session, err) from err
+        err.session_id = session.session_id
+        raise
 
 
 def naive_metrics(session: "SessionRecord",
@@ -283,7 +278,8 @@ def naive_metrics(session: "SessionRecord",
     try:
         return _evaluate(session, profile, config, naive=True)
     except AbugidaError as err:
-        raise _with_session_context(session, err) from err
+        err.session_id = session.session_id
+        raise
 
 
 def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:

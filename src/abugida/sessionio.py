@@ -15,11 +15,12 @@ byte order mark that opens any of these files is dropped.  Reports are
 CSV (RFC 4180, CRLF line endings) or JSON.
 
 Parsing is strict: unknown fields, keys repeated within an object,
-unknown event kinds, wrong payload shapes, non-integer timestamps and
-repeated session ids are rejected with the line and field named, so
-malformed logs fail loudly instead of skewing results.  All text is
-normalized on the way in.  Out-of-order events are sorted with a
-warning rather than rejected; loggers never write to stdout.
+unknown event kinds, wrong payload shapes, timestamps that are not
+integers from 0 to 2**53 and repeated session ids are rejected with the
+line and field named, so malformed logs fail loudly instead of skewing
+results.  All text is normalized on the way in.  Out-of-order events
+are sorted with a warning rather than rejected; loggers never write to
+stdout.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import logging
 from dataclasses import dataclass, fields
 from typing import IO, TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
+from .bengali import (_LONE_SURROGATE, BENGALI_TABLE, CharTable, normalize,
+                      to_output_stream)
 from .errors import (
     EmptyCorpusError,
     EncodingError,
@@ -107,88 +109,100 @@ def _decode(raw: bytes, where: str, file_start: bool = True) -> str:
     return text.removeprefix("\ufeff") if file_start else text
 
 
-def _load_json(text: str, lineno: int | None) -> object:
-    """``text`` as JSON; a key repeated in any object is a :class:`ParseError`."""
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
-            raise ParseError(f"duplicate key {repeated!r}", line=lineno)
-        return obj
-
-    try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err.msg}", line=lineno) from err
-
-
-def _object(obj: object, allowed: frozenset, lineno: int | None,
-            field: str | None) -> dict:
-    """``obj`` as a JSON object whose keys are all in ``allowed``."""
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object", line=lineno, field=field)
-    if not allowed.issuperset(obj):
-        raise ParseError(f"unknown field {sorted(set(obj) - allowed)[0]!r}",
-                         line=lineno, field=field)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a :class:`ParseError`."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"duplicate key {repeated!r}")
     return obj
 
 
-def _norm(text: str, table: CharTable, lineno: int | None, field: str) -> str:
+def _load_json(text: str) -> object:
+    """``text`` as JSON; any failure to decode it is a :class:`ParseError`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid JSON: {err.msg}") from err
+    except ValueError as err:  # an integer past the interpreter's digit limit
+        raise ParseError("invalid JSON: integer has too many digits") from err
+    except RecursionError as err:
+        raise ParseError("invalid JSON: nested too deeply") from err
+
+
+def _object(obj: object, allowed: frozenset, field: str | None) -> dict:
+    """``obj`` as a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", field=field)
+    if not allowed.issuperset(obj):
+        raise ParseError(f"unknown field {sorted(set(obj) - allowed)[0]!r}",
+                         field=field)
+    return obj
+
+
+def _norm(text: str, table: CharTable, field: str) -> str:
     try:
         return normalize(text, table)
     except InvalidEncodingError as err:
-        raise ParseError(str(err), line=lineno, field=field) from err
+        raise ParseError(str(err), field=field) from err
 
 
-def _require_str(obj: dict, key: str, lineno: int | None,
-                 nonempty: bool = False) -> str:
+def _require_str(obj: dict, key: str, nonempty: bool = False) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
-        raise ParseError("expected a string", line=lineno, field=key)
+        raise ParseError("expected a string", field=key)
     if nonempty and not value:
-        raise ParseError("must not be empty", line=lineno, field=key)
+        raise ParseError("must not be empty", field=key)
+    lone = _LONE_SURROGATE.search(value)
+    if lone is not None:  # no UTF-8 report or message could hold it
+        raise ParseError(f"lone surrogate U+{ord(lone.group()):04X} at index "
+                         f"{lone.start()}", field=key)
     return value
 
 
-_NOT_A_COUNT = "expected a non-negative integer"
+_MAX_COUNT = 2 ** 53  # every t and inf_override up to it is exact as a float
 
 
 def _is_count(value: object) -> bool:
-    """Whether ``value`` is a JSON non-negative integer (``true`` is not)."""
-    return type(value) is int and value >= 0
+    """Whether ``value`` is a JSON integer from 0 to 2**53 (``true`` is not)."""
+    return type(value) is int and 0 <= value <= _MAX_COUNT
 
 
-def _event_payload(k: object, p: object, where: str, lineno: int,
+def _not_a_count(value: object, field: str) -> ParseError:
+    if type(value) is int and value > _MAX_COUNT:
+        return ParseError("must not exceed 2**53", field=field)
+    return ParseError("expected a non-negative integer", field=field)
+
+
+def _event_payload(k: object, p: object, where: str,
                    table: CharTable) -> tuple[KeyEventKind, str]:
     """The kind and canonical payload of an event's ``k`` and ``p``."""
     if not isinstance(k, str) or k not in _EVENT_KINDS:
         raise ParseError(
             f"unknown event kind {k!r} (expected one of "
-            f"{sorted(_EVENT_KINDS)})", line=lineno, field=f"{where}.k")
+            f"{sorted(_EVENT_KINDS)})", field=f"{where}.k")
     kind = _EVENT_KINDS[k]
     if not isinstance(p, str):
-        raise ParseError("payload must be a string", line=lineno,
-                         field=f"{where}.p")
-    p = _norm(p, table, lineno, f"{where}.p")
+        raise ParseError("payload must be a string", field=f"{where}.p")
+    p = _norm(p, table, f"{where}.p")
     if kind is KeyEventKind.CHAR:
         if to_output_stream(p, table).length < 1:
             raise ParseError("char payload must carry at least one basic "
-                             "character", line=lineno, field=f"{where}.p")
+                             "character", field=f"{where}.p")
     elif kind is KeyEventKind.UNIT:
         if to_output_stream(p, table).length < 2:
             raise ParseError("unit payload must carry at least two basic "
-                             "characters", line=lineno, field=f"{where}.p")
+                             "characters", field=f"{where}.p")
     elif p:
-        raise ParseError(f"{kind.value} events carry no payload",
-                         line=lineno, field=f"{where}.p")
+        raise ParseError(f"{kind.value} events carry no payload", field=f"{where}.p")
     return kind, p
 
 
 _Payloads = dict[tuple[str, str], tuple[KeyEventKind, str]]
 
 
-def _parse_event(obj: object, index: int, lineno: int, table: CharTable,
+def _parse_event(obj: object, index: int, table: CharTable,
                  payloads: _Payloads) -> KeyEvent:
     """One event; ``payloads`` holds the pairs already checked in this log.
 
@@ -197,38 +211,33 @@ def _parse_event(obj: object, index: int, lineno: int, table: CharTable,
     event, so the field name is formatted only for an error.
     """
     if not (isinstance(obj, dict) and _EVENT_FIELDS.issuperset(obj)):
-        _object(obj, _EVENT_FIELDS, lineno, f"events[{index}]")  # raises
+        _object(obj, _EVENT_FIELDS, f"events[{index}]")  # raises
     t = obj.get("t")
     if not _is_count(t):
-        raise ParseError(_NOT_A_COUNT, line=lineno, field=f"events[{index}].t")
+        raise _not_a_count(t, f"events[{index}].t")
     k, p = obj.get("k"), obj.get("p", "")
     # A k or p that is no string (a JSON list is unhashable) never passes.
     checked = (payloads.get((k, p))
                if isinstance(k, str) and isinstance(p, str) else None)
     if checked is None:
-        checked = payloads[k, p] = _event_payload(
-            k, p, f"events[{index}]", lineno, table)
+        checked = payloads[k, p] = _event_payload(k, p, f"events[{index}]", table)
     return KeyEvent(t, *checked)
 
 
-def _parse_record(obj: object, lineno: int, table: CharTable,
-                  payloads: _Payloads) -> SessionRecord:
-    _object(obj, _RECORD_FIELDS, lineno, None)
-    session_id = _require_str(obj, "session_id", lineno, nonempty=True)
-    technique_id = _require_str(obj, "technique_id", lineno, nonempty=True)
-    participant_id = _require_str(obj, "participant_id", lineno)
-    presented = _norm(_require_str(obj, "presented", lineno),
-                      table, lineno, "presented")
-    transcribed = _norm(_require_str(obj, "transcribed", lineno),
-                        table, lineno, "transcribed")
+def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> SessionRecord:
+    _object(obj, _RECORD_FIELDS, None)
+    session_id = _require_str(obj, "session_id", nonempty=True)
+    technique_id = _require_str(obj, "technique_id", nonempty=True)
+    participant_id = _require_str(obj, "participant_id")
+    presented = _norm(_require_str(obj, "presented"), table, "presented")
+    transcribed = _norm(_require_str(obj, "transcribed"), table, "transcribed")
     inf_override = obj.get("inf_override")
     if inf_override is not None and not _is_count(inf_override):
-        raise ParseError(_NOT_A_COUNT, line=lineno, field="inf_override")
+        raise _not_a_count(inf_override, "inf_override")
     raw_events = obj.get("events")
     if not isinstance(raw_events, list) or not raw_events:
-        raise ParseError("expected a non-empty list", line=lineno, field="events")
-    events = [_parse_event(e, i, lineno, table, payloads)
-              for i, e in enumerate(raw_events)]
+        raise ParseError("expected a non-empty list", field="events")
+    events = [_parse_event(e, i, table, payloads) for i, e in enumerate(raw_events)]
     if any(b.t_ms < a.t_ms for a, b in zip(events, events[1:])):
         log.warning("session %s: events out of order, sorting by timestamp",
                     session_id)
@@ -248,10 +257,10 @@ def parse_session_log(data: Source,
                       table: CharTable = BENGALI_TABLE) -> list[SessionRecord]:
     """Parse a JSON Lines session log.  Blank lines are skipped.
 
-    A session id may appear once; a repeat raises :class:`ParseError`
-    naming both lines.  Each distinct event ``(k, p)`` pair is checked,
-    normalized and flattened once per call: a log's keystrokes draw on a
-    small alphabet of payloads.
+    A :class:`ParseError` names the line it arose on.  A session id may
+    appear once; a repeat names both lines.  Each distinct event
+    ``(k, p)`` pair is checked, normalized and flattened once per call:
+    a log's keystrokes draw on a small alphabet of payloads.
     """
     records: list[SessionRecord] = []
     first_line: dict[str, int] = {}
@@ -260,8 +269,11 @@ def parse_session_log(data: Source,
         text = _decode(raw, f"line {lineno}", file_start=lineno == 1)
         if not text.strip():
             continue
-        record = _parse_record(_load_json(text, lineno), lineno, table,
-                               payloads)
+        try:
+            record = _parse_record(_load_json(text), table, payloads)
+        except ParseError as err:
+            err.line = lineno
+            raise
         first = first_line.setdefault(record.session_id, lineno)
         if first != lineno:
             raise ParseError(f"session id {record.session_id!r} already used "
@@ -296,23 +308,26 @@ def parse_technique_profile(data: Source,
 
     Every declared atomic unit must flatten to at least two basic
     characters (:class:`InvalidUnitError` otherwise), and every unit-key
-    payload must be one of the declared units.
+    payload's output-stream text must be a declared unit's, the rule
+    replay applies to a unit keystroke.
     """
     text = _decode(_read_bytes(data), "technique profile")
-    obj = _object(_load_json(text, None), _PROFILE_FIELDS, None, None)
-    technique_id = _require_str(obj, "technique_id", None, nonempty=True)
+    obj = _object(_load_json(text), _PROFILE_FIELDS, None)
+    technique_id = _require_str(obj, "technique_id", nonempty=True)
 
     raw_units = obj.get("atomic_units", [])
     if not isinstance(raw_units, list) or any(not isinstance(u, str) for u in raw_units):
         raise ParseError("expected a list of strings", field="atomic_units")
-    units = set()
+    units, unit_texts = set(), set()
     for u in raw_units:
-        norm = _norm(u, table, None, "atomic_units")
-        if to_output_stream(norm, table).length < 2:
+        norm = _norm(u, table, "atomic_units")
+        flat = to_output_stream(norm, table).text
+        if len(flat) < 2:
             raise InvalidUnitError(
                 f"atomic unit {norm!r} must flatten to at least two basic "
                 f"characters")
         units.add(norm)
+        unit_texts.add(flat)
 
     raw_keys = obj.get("unit_keys", {})
     if not isinstance(raw_keys, dict):
@@ -321,8 +336,8 @@ def parse_technique_profile(data: Source,
     for name, payload in raw_keys.items():
         if not isinstance(payload, str):
             raise ParseError("expected a string payload", field=f"unit_keys.{name}")
-        norm = _norm(payload, table, None, f"unit_keys.{name}")
-        if norm not in units:
+        norm = _norm(payload, table, f"unit_keys.{name}")
+        if to_output_stream(norm, table).text not in unit_texts:
             raise ParseError(f"payload {norm!r} is not a declared atomic unit",
                              field=f"unit_keys.{name}")
         unit_keys[name] = norm

@@ -237,6 +237,47 @@ class TestDuplicateKeys:
         assert err == f"error: {profile}: duplicate key 'technique_id'\n"
 
 
+RECORD = json.dumps(sidebar_log_obj("s1"), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare-naive", "validate-log"])
+class TestMalformedLineIsAnError:
+    """Inputs that once ended in a traceback: one error line, exit 1 or 2.
+
+    The tests check the line and the exit code, not the wording: Python
+    3.10 has no limit on integer digits, so there a 5000-digit ``t`` is
+    past the 2**53 bound instead.
+    """
+
+    @pytest.mark.parametrize("second", [
+        "[" * 100_000,
+        RECORD.replace('"t": 0,', '"t": ' + "9" * 5000 + ",", 1),
+        RECORD.replace('"t": 0,', '"t": ' + "9" * 400 + ",", 1),
+        RECORD.replace('"inf_override": null', '"inf_override": ' + "9" * 400, 1),
+    ], ids=["deep-nesting", "5000-digit-t", "400-digit-t", "400-digit-inf-override"])
+    def test_exit_1_naming_line_2(self, capsys, tmp_path, sidebar_profile_file,
+                                  command, second):
+        assert second != RECORD
+        log = tmp_path / "log.jsonl"
+        first = json.dumps(sidebar_log_obj("s0"), ensure_ascii=False)
+        log.write_text(f"{first}\n{second}\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(log),
+                             "--profiles", sidebar_profile_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_profile_exit_2(self, capsys, tmp_path, sidebar_log_file,
+                                          command):
+        profile = tmp_path / "p.json"
+        profile.write_text('{"technique_id": ' + "[" * 100_000)
+        code, out, err = run(capsys, command, sidebar_log_file,
+                             "--profiles", str(profile))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {profile}: ")
+        assert err.count("\n") == 1
+
+
 class TestDecompose:
     def test_constituents(self, capsys):
         code, out, _ = run(capsys, "decompose", "কান্ড")
@@ -415,6 +456,18 @@ class TestValidateLog:
         assert (code, out) == (0, "c1\tMATCH\n")
         code, _, err = run(capsys, "analyze", log, "--profiles", profile)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("declared, key", [
+        ("র্য", "র\u200d্য"), ("র\u200d্য", "র্য")])
+    def test_unit_key_spelled_with_a_zwj(self, capsys, tmp_path, declared, key):
+        obj = clean_log_obj(technique_id="t", text="র্য")
+        obj["events"] = [{"t": 0, "k": "unit", "p": key}, {"t": 1500, "k": "mod"}]
+        log = write_jsonl(tmp_path / "log.jsonl", [obj])
+        profile = write_json(tmp_path / "p.json", {
+            "technique_id": "t", "atomic_units": [declared],
+            "unit_keys": {"RYA": key}, "backspace_granularity": "unit"})
+        code, out, _ = run(capsys, "validate-log", log, "--profiles", profile)
+        assert (code, out) == (0, "c1\tMATCH\n")
 
     def test_edit_keys_reported_per_session(self, capsys, tmp_path,
                                             sidebar_profile_file):

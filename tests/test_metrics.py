@@ -163,6 +163,14 @@ class TestAnalyzeSession:
         with pytest.raises(ab.EmptyTranscriptionError, match="broken-1"):
             ab.analyze_session(rec, None)
 
+    @pytest.mark.parametrize("evaluate", [ab.analyze_session, ab.naive_metrics])
+    def test_error_message_opens_with_session_id(self, evaluate):
+        rec = record("বই", "", clean_events("বই"), session_id="broken-1")
+        with pytest.raises(ab.EmptyTranscriptionError) as info:
+            evaluate(rec, None)
+        assert str(info.value) == "session broken-1: transcribed text is empty"
+        assert info.value.session_id == "broken-1"
+
     def test_replay_errors_carry_session_id(self):
         events = [ev(0, "char", "ব"), ev(500, "edit")]
         rec = record("বই", "ব", events, session_id="cursor-1")

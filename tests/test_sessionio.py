@@ -26,6 +26,21 @@ def profile_bytes(**overrides) -> bytes:
     return json.dumps(obj, ensure_ascii=False).encode()
 
 
+def with_value(path, value):
+    """A log line: the record given, with ``value`` at the key ``path``.
+
+    ASCII escapes keep a lone surrogate in the JSON text, as a logger
+    writing ``\\ud800`` would.
+    """
+    def line(obj) -> str:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(obj)
+    return line
+
+
 class TestParseSessionLog:
     def test_sidebar_line(self):
         records = ab.parse_session_log(log_bytes(sidebar_log_obj()))
@@ -206,6 +221,61 @@ class TestParseSessionLog:
             ab.parse_session_log(data)
 
 
+    @pytest.mark.parametrize("second, message", [
+        (lambda obj: "{oops", "line 2: invalid JSON: Expecting property name "
+                              "enclosed in double quotes"),
+        (lambda obj: json.dumps(obj).replace('"t": 0,', '"t": 0, "t": 9,', 1),
+         "line 2: duplicate key 't'"),
+        (lambda obj: "[]", "line 2: expected a JSON object"),
+        (with_value(["speed"], 1), "line 2: unknown field 'speed'"),
+        (lambda obj: json.dumps({k: v for k, v in obj.items()
+                                 if k != "participant_id"}),
+         "line 2, field 'participant_id': expected a string"),
+        (with_value(["technique_id"], ""),
+         "line 2, field 'technique_id': must not be empty"),
+        (with_value(["presented"], "\ud800"),
+         "line 2, field 'presented': lone surrogate U+D800 at index 0"),
+        (with_value(["session_id"], "s\udfff"),
+         "line 2, field 'session_id': lone surrogate U+DFFF at index 1"),
+        (with_value(["inf_override"], -1),
+         "line 2, field 'inf_override': expected a non-negative integer"),
+        (with_value(["inf_override"], 2 ** 53 + 1),
+         "line 2, field 'inf_override': must not exceed 2**53"),
+        (with_value(["events"], []),
+         "line 2, field 'events': expected a non-empty list"),
+        (with_value(["events", 3, "t"], 1.5),
+         "line 2, field 'events[3].t': expected a non-negative integer"),
+        (with_value(["events", 3, "t"], 2 ** 53 + 1),
+         "line 2, field 'events[3].t': must not exceed 2**53"),
+        (with_value(["events", 3, "k"], "tap"),
+         "line 2, field 'events[3].k': unknown event kind 'tap' (expected one "
+         "of ['bksp', 'char', 'edit', 'mod', 'unit'])"),
+        (with_value(["events", 3, "p"], ["ক"]),
+         "line 2, field 'events[3].p': payload must be a string"),
+        (with_value(["events", 3], "x"),
+         "line 2, field 'events[3]': expected a JSON object"),
+        (with_value(["events", 3, "p"], "\u0995\ud800"),
+         "line 2, field 'events[3].p': lone surrogate U+D800 at index 1"),
+        (with_value(["events", 3, "k"], "unit"),
+         "line 2, field 'events[3].p': unit payload must carry at least two "
+         "basic characters"),
+        (with_value(["session_id"], "s0"),
+         "line 2, field 'session_id': session id 's0' already used on line 1"),
+    ], ids=["json-syntax", "duplicate-key", "not-an-object", "unknown-field",
+            "missing-string", "empty-string", "surrogate-in-text",
+            "surrogate-in-id", "negative-inf-override", "huge-inf-override",
+            "empty-events", "float-t", "huge-t", "unknown-k", "list-p",
+            "event-not-an-object", "surrogate-in-p", "payload-shape",
+            "repeated-session-id"])
+    def test_error_on_line_2_names_line_and_field(self, second, message):
+        """Each error family names the line it arose on, after a good line."""
+        data = (log_bytes(sidebar_log_obj("s0"))
+                + second(sidebar_log_obj("s1")).encode() + b"\n")
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_session_log(data)
+        assert str(info.value) == message
+        assert info.value.line == 2
+
 class TestPayloadMemo:
     """Each distinct (k, p) pair is checked once per log, where it first occurs."""
 
@@ -320,6 +390,28 @@ class TestParseTechniqueProfile:
     def test_round_trip(self):
         p = ab.parse_technique_profile(profile_bytes())
         assert ab.parse_technique_profile(ab.write_technique_profile(p)) == p
+
+    def test_errors_name_no_line(self):
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_technique_profile(profile_bytes(backspace_granularity="word"))
+        assert info.value.line is None
+        assert str(info.value) == ("field 'backspace_granularity': expected "
+                                   "'basic' or 'unit', got 'word'")
+
+    @pytest.mark.parametrize("declared, key", [
+        ("র্য", "র\u200d্য"), ("র\u200d্য", "র্য")])
+    def test_unit_key_is_decided_by_its_output_stream_text(self, declared, key):
+        """The rule replay applies: a ZWJ spelling of a declared unit is it."""
+        p = ab.parse_technique_profile(profile_bytes(
+            atomic_units=[declared], unit_keys={"RYA": key}))
+        assert p.unit_keys == {"RYA": key}
+
+    @pytest.mark.parametrize("key", ["ন্ড", "ন\u200d্ড", "ন্\u200cড"])
+    def test_undeclared_unit_key_rejected_in_any_spelling(self, key):
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_technique_profile(profile_bytes(unit_keys={"X": key}))
+        assert str(info.value) == (f"field 'unit_keys.X': payload {key!r} is "
+                                   f"not a declared atomic unit")
 
 
 class TestPhraseSet:
