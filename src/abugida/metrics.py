@@ -225,7 +225,10 @@ def _evaluate(session: "SessionRecord",
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "
             f"{session.transcribed!r}")
-    incorrect_fixed = sum(len(symbols(atom)) for atom in replay.erased)
+    # An atom of one codepoint is output-stream text, so it is one symbol in
+    # either view; only unit atoms are split.
+    incorrect_fixed = sum(len(symbols(atom)) if len(atom) > 1 else 1
+                          for atom in replay.erased)
     fixes = len(replay.erased)  # one atom per backspace; edit keys fail replay
     # C is defined by the conservation law C + INF = |OS_T|.
     correct = t_len - inf

@@ -29,6 +29,13 @@ k + 1 rows (k is the longest unit), carries INF along each cell's
 argmin, and stores the band's backpointers only when ``script=True``;
 the metrics ask for ``script=False``.  Time grows with length times
 band width, and without a script memory grows with length alone.
+
+Three exact shortcuts keep the band to where the texts differ.  Equal
+sequences are all matches, the one path of cost 0.  A common suffix in
+which no unit ends is matched outside the band: no unit step reaches it,
+and a match there is never dearer than a delete or an insert.  Without
+units or a script every step costs its width, so INF is the plain edit
+distance, computed with bit vectors (Myers 1999; Hyyrö 2001).
 """
 
 from __future__ import annotations
@@ -335,6 +342,45 @@ def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
     return dist[m % depth][n + 1], infs[m % depth][n + 1], tuple(steps)
 
 
+def _matches(a: tuple[str, ...], b: tuple[str, ...], i: int, j: int,
+             count: int) -> tuple[EditOp, ...]:
+    """``count`` matches from cell (i, j) on, as the band's backtrack makes them."""
+    return tuple(EditOp(EditOpKind.MATCH, i + t, j + t, a[i + t:i + t + 1],
+                        b[j + t:j + t + 1], 0.0) for t in range(count))
+
+
+def _bit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """Unit-cost edit distance, by bit vectors (Myers 1999; Hyyrö 2001).
+
+    Bit i of ``pv``/``mv`` says whether the current column's cell in row
+    i + 1 is one more or one less than the cell above it; ``score`` is the
+    last row's cell.  Each symbol of b advances every row at once.
+    """
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}  # symbol -> the rows of a that hold it
+    for i, x in enumerate(a):
+        peq[x] = peq.get(x, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for y in b:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per column: a global distance
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
+
+
 def align_symbols(a: Sequence[str],
                   b: Sequence[str],
                   units_a: Mapping[int, int] | None = None,
@@ -372,12 +418,43 @@ def align_symbols(a: Sequence[str],
     for the last k + 1 rows.  ``script=False`` skips the edit script
     (``result.script == ()``); otherwise the band's backpointers add
     O(m·w).
+
+    Three shortcuts skip all or part of the band, each exact:
+
+    * ``a == b``: distance 0, INF 0, and all matches.  Every step but a
+      match costs more than 0, so the diagonal is the one path of cost 0,
+      whatever the unit maps, and a match wins every tie.
+    * The longest common suffix, of s symbols, such that no unit ends
+      past m − s in a or past n − s in b is matched and left out of the
+      band.  Where a[i−1] = b[j−1] and neither i nor j ends a unit, the
+      step that enters column j on a path to (i − 1, j) is a basic one,
+      and turning it into a delete (or dropping it, if it inserts) leaves
+      a path to (i − 1, j − 1) that costs at most L more; the same holds
+      for rows.  So the match into (i, j) is never beaten, it wins the
+      tie, and the cells before (m − s, n − s) are a table of their own.
+    * No unit on either side and ``script=False``: every step costs L = 1
+      and adds its width 1 to INF, or 0 and 0 for a match, so INF equals
+      the unit-cost distance on every path.  :func:`_bit_distance`
+      computes it in O(n·⌈m/w⌉) word operations.
     """
     a = tuple(a)
     b = tuple(b)
     m, n = len(a), len(b)
     ua = _checked_units(units_a, m, "units_a")
     ub = _checked_units(units_b, n, "units_b")
+    if a == b:
+        return AlignmentResult(0.0, _matches(a, b, 0, 0, m) if script else (), 0)
+    # Cut the longest common suffix in which no unit ends on either side.
+    keep = min(m - max(ua, default=0), n - max(ub, default=0))
+    s = 0
+    while s < keep and a[m - 1 - s] == b[n - 1 - s]:
+        s += 1
+    m, n = m - s, n - s
+    tail = _matches(a, b, m, n, s) if script else ()
+    a, b = a[:m], b[:n]
+    if not (ua or ub or script):
+        d = _bit_distance(a, b)
+        return AlignmentResult(float(d), (), d)
     step = math.lcm(*ua.values(), *ub.values())
     # Each product is a whole number; round() only undoes the float's error.
     edit_w = {k: round(cost.unit_edit_cost(k) * step)
@@ -396,7 +473,7 @@ def align_symbols(a: Sequence[str],
         if lo2 < lo or hi2 > hi:
             distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, sub_w,
                                               lo2, hi2, script)
-    return AlignmentResult(distance / step, steps, inf)
+    return AlignmentResult(distance / step, steps + tail, inf)
 
 
 def msd(a: OutputStream,

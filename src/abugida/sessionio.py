@@ -154,10 +154,14 @@ def _require_str(obj: dict, key: str, nonempty: bool = False) -> str:
         raise ParseError("expected a string", field=key)
     if nonempty and not value:
         raise ParseError("must not be empty", field=key)
+    return _no_lone_surrogate(value, key)
+
+
+def _no_lone_surrogate(value: str, field: str) -> str:
     lone = _LONE_SURROGATE.search(value)
     if lone is not None:  # no UTF-8 report or message could hold it
         raise ParseError(f"lone surrogate U+{ord(lone.group()):04X} at index "
-                         f"{lone.start()}", field=key)
+                         f"{lone.start()}", field=field)
     return value
 
 
@@ -334,6 +338,7 @@ def parse_technique_profile(data: Source,
         raise ParseError("expected an object", field="unit_keys")
     unit_keys: dict[str, str] = {}
     for name, payload in raw_keys.items():
+        _no_lone_surrogate(name, "unit_keys")
         if not isinstance(payload, str):
             raise ParseError("expected a string payload", field=f"unit_keys.{name}")
         norm = _norm(payload, table, f"unit_keys.{name}")

@@ -4,7 +4,9 @@
 and backtracks a stored backpointer table, with the same tie order
 (match, substitute, delete, insert; basic steps before unit steps).
 The banded aligner must give the same INF and edit script, and the
-exact distance correctly rounded to a float.
+exact distance correctly rounded to a float; so must the shortcuts that
+skip the band: equal streams, a common suffix that ends no unit, and the
+bit-vector distance of unit-free pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
-from abugida.msd import EditOp, EditOpKind, align_symbols
+from abugida.msd import AlignmentResult, EditOp, EditOpKind, align_symbols
 from test_properties import typed_sessions
 
 # ``abugida.msd`` the attribute is the function; the module is imported.
@@ -209,6 +211,126 @@ def test_arbitrary_unit_maps_match_exact_table(data):
     b = shared + data.draw(st.text("abc", max_size=8))
     assert_aligns_exactly(a, b, data.draw(unit_maps(len(a))),
                           data.draw(unit_maps(len(b))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text("abc", max_size=12), st.data())
+def test_equal_pairs_match_full_table(a, data):
+    ua = data.draw(unit_maps(len(a)))
+    ub = data.draw(st.just(ua) | unit_maps(len(a)))
+    assert_aligns_exactly(a, a, ua, ub)
+
+
+@st.composite
+def suffix_pairs(draw):
+    """Two texts that share a long suffix, and unit maps for them.
+
+    Units end anywhere in the two heads.  One side may also hold a unit
+    that ends exactly where the shared suffix starts, or one that starts
+    in the head and ends inside the suffix.
+    """
+    suffix = draw(st.text("abc", min_size=4, max_size=12))
+    heads = [draw(st.text("abc", max_size=6)) for _ in range(2)]
+    maps = [draw(unit_maps(len(head))) for head in heads]
+    side = draw(st.integers(0, 1))
+    head = len(heads[side])
+    placement = draw(st.sampled_from(("none", "at the boundary", "across it")))
+    if placement == "at the boundary" and head:
+        maps[side][head] = draw(st.integers(1, min(5, head)))
+    elif placement == "across it" and head:
+        into = draw(st.integers(1, min(4, len(suffix))))
+        maps[side][head + into] = draw(st.integers(into + 1, min(5, head + into)))
+    return heads[0] + suffix, heads[1] + suffix, maps[0], maps[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(suffix_pairs())
+def test_common_suffix_pairs_match_full_table(pair):
+    assert_aligns_exactly(*pair)
+
+
+def test_a_unit_inside_the_common_suffix_stops_the_trim():
+    # Trimmed past a's unit ab, the pair would cost 2.0 instead of 1.5.
+    assert_aligns_exactly("aba", "aaaba", {2: 2}, {4: 2})
+    assert align_symbols("aba", "aaaba", {2: 2}, {4: 2}).distance == 1.5
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_typed_pairs_with_a_shared_tail_match_full_table(granularity, data):
+    record, profile = data.draw(typed_sessions(granularity))
+    tail = record.presented
+    assert_matches_oracle(record.transcribed + tail, record.presented + tail, profile)
+    assert_matches_oracle(record.presented + tail, record.transcribed + tail, profile)
+
+
+CLUSTERS = ("ক্ষ", "কি", "ি", "ক", " ", "১")
+
+
+def assert_unit_free_exact(a, b) -> None:
+    """No units: INF is the distance, and the bit vectors compute it."""
+    exact, inf, _ = full_table_align(a, b)
+    assert exact == inf
+    assert msd_module._bit_distance(tuple(a), tuple(b)) == inf
+    for cost in COSTS:
+        bare = align_symbols(a, b, None, None, cost, script=False)
+        assert (bare.distance, bare.inf, bare.script) == (float(exact), inf, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_free_pairs_match_full_table(data):
+    alphabet = data.draw(st.sampled_from(("a", "ab", "abcd", CLUSTERS)))
+    a = data.draw(st.lists(st.sampled_from(alphabet), max_size=14))
+    # b may hold symbols that a never does
+    b = data.draw(st.lists(st.sampled_from((*alphabet, "z", "খা")), max_size=14))
+    assert_unit_free_exact(tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 70), (140, 0), (63, 65), (64, 64),
+                                  (65, 129), (129, 130), (150, 120)])
+def test_long_unit_free_pairs_match_full_table(m, n):
+    rng = random.Random(m * 1000 + n)
+    a = "".join(rng.choice("abcd") for _ in range(m))
+    b = "".join(rng.choice("abcdz") for _ in range(n))
+    assert_unit_free_exact(a, b)
+    clusters_a = tuple(rng.choice(CLUSTERS) for _ in range(m))
+    clusters_b = tuple(rng.choice(CLUSTERS + ("খা",)) for _ in range(n))
+    assert_unit_free_exact(clusters_a, clusters_b)
+
+
+class TestShortcutsSkipTheBand:
+    @pytest.fixture
+    def band_inputs(self, monkeypatch):
+        seen = []
+        band_pass = msd_module._band_pass
+
+        def recording(a, b, *rest):
+            seen.append(("".join(a), "".join(b)))
+            return band_pass(a, b, *rest)
+
+        monkeypatch.setattr(msd_module, "_band_pass", recording)
+        return seen
+
+    def test_equal_streams(self, band_inputs):
+        result = align_symbols("abcab", "abcab", {2: 2}, {5: 2})
+        assert result == AlignmentResult(
+            0.0, full_table_align("abcab", "abcab", {2: 2}, {5: 2})[2], 0)
+        assert align_symbols("abcab", "abcab", script=False) == AlignmentResult(0.0, (), 0)
+        assert band_inputs == []
+
+    def test_common_suffix_after_the_last_unit_end(self, band_inputs):
+        result = align_symbols("xabcc", "yabcc", {3: 2}, {})
+        assert set(band_inputs) == {("xab", "yab")}
+        assert result.script[3:] == (EditOp(EditOpKind.MATCH, 3, 3, ("c",), ("c",), 0.0),
+                                     EditOp(EditOpKind.MATCH, 4, 4, ("c",), ("c",), 0.0))
+
+    def test_unit_free_pair_without_script(self, band_inputs):
+        assert align_symbols("kitten", "sitting", script=False) == AlignmentResult(3.0, (), 3)
+        assert band_inputs == []
+        assert align_symbols("kitten", "sitting").distance == 3.0
+        assert set(band_inputs) == {("kitten", "sitting")}
 
 
 class TestExactTies:

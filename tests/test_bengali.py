@@ -217,6 +217,18 @@ class TestSegmentGraphemes:
             assert "".join(c.text for c in clusters) == stream.text
             assert sum(c.constituent_count for c in clusters) == stream.length
 
+    def test_every_codepoint_of_an_output_stream_is_one_cluster(self):
+        # Replay's atoms are such codepoints, or whole units: the glyph view
+        # counts an atom of one codepoint as one cluster without segmenting.
+        atoms = {x for cp in range(0x10000) if not 0xD800 <= cp <= 0xDFFF
+                 for x in ab.to_output_stream(chr(cp)).text}
+        assert [x for x in atoms if [c.text for c in ab.segment_graphemes(x)] != [x]] == []
+
+    @given(bengali_text)
+    def test_one_codepoint_atoms_of_any_text_are_one_cluster(self, text):
+        for x in ab.to_output_stream(text).text:
+            assert [c.text for c in ab.segment_graphemes(x)] == [x]
+
     @given(bengali_text)
     def test_cluster_count_never_exceeds_stream_length(self, text):
         clusters = [c for c in ab.segment_graphemes(text) if c.constituent_count]

@@ -27,16 +27,26 @@ MARKS = ("া", "ি", "ে", "্")
 CONTROLS = st.sampled_from(sorted(map(chr, ZERO_WIDTH_CONTROLS)))
 
 ACTIONS = ("type",) * 6 + ("omit", "stray-kept", "stray-fixed", "substitute", "mod")
+# Every intended key typed: an omitted key, or a shorter one typed in its
+# place, can leave INF above |OS_T|, outside the model C + INF = |OS_T|.
+IN_MODEL = tuple(a for a in ACTIONS if a not in ("omit", "substitute"))
 
 
 @st.composite
-def typed_sessions(draw, granularity, chars=SINGLE + MARKS, units=UNITS):
-    """A session record and the profile it was typed under."""
+def typed_sessions(draw, granularity, chars=SINGLE + MARKS, units=UNITS,
+                   actions=ACTIONS, strays=None):
+    """A session record and the profile it was typed under.
+
+    Stray keys are drawn like planned ones, or from the characters
+    ``strays`` when given.
+    """
     profile = ab.TechniqueProfile("t", frozenset(UNITS),
                                   backspace_granularity=granularity)
     key = st.tuples(st.just("char"), st.sampled_from(chars))
     if units:
         key = key | st.tuples(st.just("unit"), st.sampled_from(units))
+    stray_key = key if strays is None else st.tuples(st.just("char"),
+                                                      st.sampled_from(strays))
     plan = draw(st.lists(key, min_size=1, max_size=10))
 
     events: list[ab.KeyEvent] = []
@@ -55,8 +65,8 @@ def typed_sessions(draw, granularity, chars=SINGLE + MARKS, units=UNITS):
             atoms.extend(payload)  # one atom per constituent codepoint
 
     for intended in plan:
-        action = draw(st.sampled_from(ACTIONS))
-        stray = draw(key)
+        action = draw(st.sampled_from(actions))
+        stray = draw(stray_key)
         if action == "mod":
             emit("mod")
         if action == "stray-kept":
@@ -130,6 +140,31 @@ def test_msd_is_bounded_and_zero_only_on_equal_text(view, granularity, data):
     m = view(record, profile).intermediates
     assert 0 <= m.msd <= max(m.os_p_length, m.os_t_length)
     assert (m.msd == 0) == (record.presented == record.transcribed)
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_in_model_sessions_have_no_negative_correct(granularity, data):
+    """C = |OS_T| - INF is never negative when every intended key is typed."""
+    record, profile = data.draw(typed_sessions(granularity, actions=IN_MODEL))
+    assert ab.analyze_session(record, profile).intermediates.correct >= 0
+
+
+@pytest.mark.parametrize("granularity", ["basic", "unit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_in_model_sessions_have_no_negative_correct_in_clusters(granularity, data):
+    """The same in clusters, when every key is clusters of its own.
+
+    A kept stray sign, or a consonant before a leading virama, joins two
+    clusters into one: the transcription can then hold fewer clusters
+    than the errors INF counts.  Standalone characters and whole units
+    never join, so T's clusters are P's with the strays added.
+    """
+    record, profile = data.draw(typed_sessions(
+        granularity, chars=SINGLE, actions=IN_MODEL, strays=SINGLE))
+    assert ab.naive_metrics(record, profile).intermediates.correct >= 0
 
 
 @pytest.mark.parametrize("granularity", ["basic", "unit"])

@@ -391,6 +391,26 @@ class TestParseTechniqueProfile:
         p = ab.parse_technique_profile(profile_bytes())
         assert ab.parse_technique_profile(ab.write_technique_profile(p)) == p
 
+    def test_round_trip_keeps_unit_key_names(self):
+        data = profile_bytes(atomic_units=["ক্ষ", "ন্ড"],
+                             unit_keys={"KSHA": "ক্ষ", "ন্ড-কী": "ন\u200d্ড"})
+        p = ab.parse_technique_profile(data)
+        written = ab.write_technique_profile(p)
+        again = ab.parse_technique_profile(written)
+        assert again == p and again.unit_keys == p.unit_keys
+        assert ab.write_technique_profile(again) == written
+
+    @pytest.mark.parametrize("name", ["\ud800", "K\udfff"])
+    def test_unit_key_name_with_lone_surrogate_rejected(self, name):
+        obj = sidebar_profile_obj()
+        obj["unit_keys"] = {name: "ক্ষ"}
+        with pytest.raises(ab.ParseError) as info:
+            # ASCII escapes keep the lone surrogate in the JSON text.
+            ab.parse_technique_profile(json.dumps(obj).encode())
+        assert str(info.value) == (
+            f"field 'unit_keys': lone surrogate U+{ord(name[-1]):04X} at index "
+            f"{len(name) - 1}")
+
     def test_errors_name_no_line(self):
         with pytest.raises(ab.ParseError) as info:
             ab.parse_technique_profile(profile_bytes(backspace_granularity="word"))
