@@ -28,13 +28,15 @@ per text before any counting.
 
 Text is canonical by the time it is counted, so the hot path is built
 for text that needs no change: the lone-surrogate scan, the search for
-a composing pair and the removal of zero-width controls are each one
-regular-expression pass in C.  The patterns a table needs are derived
-from it on first use and kept on the table.  Only a text that holds a
-declared pair runs the pairwise composition loop.  The session-log
-parser adds a memo of its own, local to one log: each distinct event
-payload is normalized and flattened once (see
-:func:`abugida.sessionio.parse_session_log`).
+a composing pair, the removal of zero-width controls and the cut into
+grapheme clusters are each one regular-expression pass in C.  The
+patterns a table needs are derived from it on first use and kept on the
+table.  Only a text that holds a declared pair runs the pairwise
+composition loop.  Two memos sit above this module: the session-log
+parser normalizes and flattens each distinct event payload once per log
+(see :func:`abugida.sessionio.parse_session_log`), and replay flattens
+each distinct payload once per table (see
+:func:`abugida.streams.replay_events`).
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ ZERO_WIDTH_CONTROLS = frozenset({
     0x2060,  # word joiner
     0xFEFF,  # zero width no-break space / BOM
 })
+
+# Classes that join the cluster before them, and classes that stand alone.
+_ATTACHING = (
+    CodepointClass.DEPENDENT_VOWEL_SIGN,
+    CodepointClass.MODIFIER_SIGN,
+    CodepointClass.VIRAMA,
+)
+_SINGLETON = (CodepointClass.WHITESPACE, CodepointClass.DIGIT)
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -213,6 +223,43 @@ class CharTable:
                         if 0 <= cp <= sys.maxunicode)
         return re.compile(f"[{chars}]") if chars else None
 
+    @cached_property
+    def _cluster_pattern(self) -> re.Pattern[str]:
+        """Matches one grapheme cluster of an output-stream text.
+
+        See :func:`segment_graphemes` for the rule and the pattern's form.
+        ``\\s`` stands for the unlisted whitespace that :meth:`classify`
+        calls Whitespace, so the listed codepoints it matches under
+        another class are kept out of it.
+        """
+        def chars(keep) -> str:
+            return "".join(re.escape(chr(cp)) for cp, cls in sorted(self.classes.items())
+                           if 0 <= cp <= sys.maxunicode and keep(cp, cls))
+
+        space = r"\s"
+        hidden = chars(lambda cp, cls: cls not in _SINGLETON and chr(cp).isspace())
+        if hidden:
+            space = f"(?![{hidden}]){space}"
+        listed = chars(lambda cp, cls: cls in _SINGLETON)
+        single = f"(?:[{listed}]|{space})" if listed else f"(?:{space})"
+        attaching = chars(lambda cp, cls: cls in _ATTACHING)
+        consonants = chars(lambda cp, cls: cls is CodepointClass.CONSONANT)
+        viramas = chars(lambda cp, cls: cls is CodepointClass.VIRAMA)
+        joins = [f"[{attaching}]"] if attaching else []
+        if consonants and viramas:
+            joins.append(f"(?<=[{consonants}][{viramas}])(?!{single})(?s:.)")
+        tail = f"(?:{'|'.join(joins)})*" if joins else ""
+        return re.compile(f"{single}|(?s:.){tail}")
+
+    @cached_property
+    def _replay_memo(self) -> dict:
+        """Replay's memo of payload output-stream texts under this table.
+
+        Filled by :func:`abugida.streams.replay_events`, which keeps it to
+        one flattener and the distinct payload texts it replays.
+        """
+        return {}
+
     def compose(self, text: str) -> str:
         """Apply composition pairs left to right until none fire."""
         # Every merge, a cascading one too, starts at a declared pair.
@@ -330,14 +377,6 @@ def recompose(stream: OutputStream) -> str:
     return stream.text
 
 
-_ATTACHING = (
-    CodepointClass.DEPENDENT_VOWEL_SIGN,
-    CodepointClass.MODIFIER_SIGN,
-    CodepointClass.VIRAMA,
-)
-_SINGLETON = (CodepointClass.WHITESPACE, CodepointClass.DIGIT)
-
-
 def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[GraphemeCluster]:
     """Split the output stream of ``text`` into visual grapheme clusters.
 
@@ -351,23 +390,17 @@ def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[Graph
     a virama after anything but whitespace or a digit always attaches,
     so such a consonant + virama pair always lies in the open cluster.
 
+    The rule is one regular expression, derived from the table on first
+    use and kept on it: ``S|(?s:.)(?:[A]|(?<=[C][V])(?!S)(?s:.))*``, where
+    S is whitespace or a digit, A an attaching codepoint and C V a
+    consonant and a virama.  S alone is a cluster.  Any other codepoint
+    opens a cluster that takes each next codepoint while it attaches; no
+    codepoint it takes is S, so the rule's condition on the previous
+    codepoint holds inside it.
+
     Clusters are slices of the output-stream text, which holds no
     zero-width controls: they concatenate to it under any table, and
     their constituent counts sum to its length.
     """
     text = to_output_stream(text, table).text
-    clusters: list[GraphemeCluster] = []
-    prev2 = prev = None  # classes of the last two codepoints
-    start = 0  # the open cluster's first index
-    for i, ch in enumerate(text):
-        cls = table.classify(ord(ch))
-        if i and (prev in _SINGLETON or not (
-                cls in _ATTACHING
-                or (prev is CodepointClass.VIRAMA and prev2 is CodepointClass.CONSONANT
-                    and cls not in _SINGLETON))):
-            clusters.append(GraphemeCluster(text[start:i]))
-            start = i
-        prev2, prev = prev, cls
-    if text:
-        clusters.append(GraphemeCluster(text[start:]))
-    return clusters
+    return list(map(GraphemeCluster, table._cluster_pattern.findall(text)))

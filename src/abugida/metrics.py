@@ -36,6 +36,7 @@ from .errors import (
     EmptySessionError,
     EmptyStreamsError,
     EmptyTranscriptionError,
+    ParseError,
     TranscriptionMismatchError,
     ZeroDurationError,
 )
@@ -210,7 +211,11 @@ def _evaluate(session: "SessionRecord",
         symbols = lambda text: to_output_stream(text, table).text
         align = lambda t, p: msd(OutputStream(t), OutputStream(p), profile, cost,
                                  script=False)
-    sym_p, sym_t = symbols(session.presented), symbols(session.transcribed)
+    # Most transcriptions equal their presented text (1109 of the 2000 in the
+    # benchmark's study log); those are flattened or cut once.
+    sym_p = symbols(session.presented)
+    sym_t = (sym_p if session.transcribed == session.presented
+             else symbols(session.transcribed))
     p_len, t_len = len(sym_p), len(sym_t)
     alignment = align(sym_t, sym_p)
     if t_len == 0:
@@ -218,13 +223,20 @@ def _evaluate(session: "SessionRecord",
 
     stream = build_input_stream(session.events)
     seconds = session_duration_s(stream)
-    inf = session.inf_override if session.inf_override is not None else alignment.inf
 
     replay = replay_events(stream, profile)
     if replay.text != "".join(sym_t):
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "
             f"{session.transcribed!r}")
+    # An override above the constituent |OS_T| would make C negative.  Both
+    # views bound it by that count, so they accept the same sessions.
+    inf = alignment.inf
+    if session.inf_override is not None:
+        inf = session.inf_override
+        if inf > len(replay.text):
+            raise ParseError(f"{inf} exceeds the {len(replay.text)} constituents "
+                             "of the transcription", field="inf_override")
     # An atom of one codepoint is output-stream text, so it is one symbol in
     # either view; only unit atoms are split.
     incorrect_fixed = sum(len(symbols(atom)) if len(atom) > 1 else 1
@@ -262,7 +274,8 @@ def analyze_session(session: "SessionRecord",
     """Compute every metric for one session under one technique profile.
 
     Honors ``session.inf_override`` when present; otherwise INF comes
-    from the alignment.  Raises :class:`TranscriptionMismatchError` when
+    from the alignment.  An override above |OS_T| raises
+    :class:`ParseError`.  Raises :class:`TranscriptionMismatchError` when
     the events do not replay to ``session.transcribed``.  Errors raised
     by any stage propagate with the session id set as their
     ``session_id``, which their message then opens with.
@@ -277,7 +290,11 @@ def analyze_session(session: "SessionRecord",
 def naive_metrics(session: "SessionRecord",
                   profile: TechniqueProfile | None,
                   config: MetricConfig = MetricConfig()) -> SessionMetrics:
-    """The same pipeline and replay with grapheme clusters as the unit."""
+    """The same pipeline and replay with grapheme clusters as the unit.
+
+    ``session.inf_override`` is bounded as in :func:`analyze_session`, by
+    the constituent |OS_T|, so both views accept the same sessions.
+    """
     try:
         return _evaluate(session, profile, config, naive=True)
     except AbugidaError as err:

@@ -493,5 +493,5 @@ def msd(a: OutputStream,
     """
     unit_seqs = profile.unit_seqs if profile else ()
     ua = _greedy_unit_ends(a.text, unit_seqs)
-    ub = _greedy_unit_ends(b.text, unit_seqs)
+    ub = ua if b.text == a.text else _greedy_unit_ends(b.text, unit_seqs)
     return align_symbols(a.text, b.text, ua, ub, cost, script=script)

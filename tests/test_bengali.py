@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import sys
 import unicodedata
 
 import pytest
@@ -26,6 +28,14 @@ _RECLASSIFIED = ab.CharTable.from_lines(
     [line for line in ab.BENGALI_TABLE.to_lines()
      if not line.startswith(("09BC ", "09FF "))]
     + ["09BC ZeroWidthControl", "09FF Consonant 0995 09DC", "200C Other"])
+
+# Built-in rules, except: the space is a consonant, the digit zero ০ is
+# Other and the Latin "a" a virama, so the classes of a cluster pattern
+# must follow the records, not str.isspace or the Unicode digit class;
+# and one record lies outside Unicode.
+_REWIRED = ab.CharTable.from_lines(
+    [line for line in ab.BENGALI_TABLE.to_lines() if not line.startswith("09E6 ")]
+    + ["0020 Consonant", "09E6 Other", "0061 Virama", "110000 Virama"])
 
 
 class TestClassify:
@@ -421,9 +431,10 @@ class TestFastPathsMatchOracle:
         fast = _outcome(lambda: ab.to_output_stream(text, table).text)
         assert fast == _outcome(_oracle_output_stream, text, table)
 
-    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED],
-                             ids=["builtin", "reclassified"])
+    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED, _REWIRED],
+                             ids=["builtin", "reclassified", "rewired"])
     @given(text=_oracle_text)
+    @example(text="\u0995 a \u09e6\u09be a\t\u0996\u09cd \u09e7")
     @settings(max_examples=300)
     def test_segment_graphemes(self, table, text):
         # The oracle cuts the output-stream text, which holds no controls.
@@ -441,6 +452,16 @@ class TestFastPathsMatchOracle:
             ["110000 ZeroWidthControl", "0995 Consonant 110000 0996"])
         assert ab.to_output_stream("ক\u200cখ", table).text == "কখ"
         assert ab.normalize("কখ", table) == "কখ"
+        table = ab.CharTable.from_lines(
+            ["0995 Consonant", "09CD Virama", "110000 Virama", "110001 Whitespace",
+             "110002 Consonant"])
+        assert [c.text for c in ab.segment_graphemes("ক্খ ক", table)] == ["ক্খ", " ", "ক"]
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The cluster pattern reads unlisted whitespace as \s, where
+        # CharTable.classify asks str.isspace.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
     def test_surrogate_message_names_codepoint_and_index(self):
         with pytest.raises(ab.InvalidEncodingError,

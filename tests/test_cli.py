@@ -145,6 +145,20 @@ class TestAnalyze:
         assert "session s1" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare-naive"])
+def test_inf_override_above_transcription_exit_1(capsys, tmp_path, command):
+    # More uncorrected errors than the transcription holds would make C < 0.
+    obj = clean_log_obj()
+    obj["inf_override"] = 1000
+    log = write_jsonl(tmp_path / "log.jsonl", [obj])
+    profile = write_json(tmp_path / "basic.json", basic_profile_obj())
+    flags = ["--per-session"] if command == "analyze" else []
+    code, out, err = run(capsys, command, log, "--profiles", profile, *flags)
+    assert (code, out) == (1, "")
+    assert err == ("error: session c1: field 'inf_override': 1000 exceeds "
+                   "the 2 constituents of the transcription\n")
+
+
 @pytest.mark.parametrize("command", ["compare-naive", "validate-log"])
 class TestLogCommandErrors:
     """The exit codes TestAnalyze checks, for the other log commands."""

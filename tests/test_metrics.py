@@ -158,6 +158,19 @@ class TestAnalyzeSession:
         assert m.total_error_rate == 0.0
         assert m.msder_bn == pytest.approx(7.142857142857142)  # distance unchanged
 
+    @pytest.mark.parametrize("evaluate", [ab.analyze_session, ab.naive_metrics])
+    def test_inf_override_is_bounded_by_constituents(self, evaluate):
+        # ক্ষ is three constituents and one cluster: both views take up to 3.
+        events = clean_events("ক্ষ")
+        assert evaluate(record("ক্ষ", "ক্ষ", events, inf_override=3),
+                        None).intermediates.inf == 3
+        with pytest.raises(ab.ParseError) as info:
+            evaluate(record("ক্ষ", "ক্ষ", events, session_id="over-1",
+                            inf_override=4), None)
+        assert info.value.session_id == "over-1"
+        assert str(info.value) == ("session over-1: field 'inf_override': 4 "
+                                   "exceeds the 3 constituents of the transcription")
+
     def test_errors_carry_session_id(self):
         rec = record("বই", "", clean_events("বই"), session_id="broken-1")
         with pytest.raises(ab.EmptyTranscriptionError, match="broken-1"):

@@ -170,6 +170,70 @@ class TestReplay:
             assert (result.text, result.erased) == ("বই", ("া",))
 
 
+# A payload whose output-stream text differs by table: the built-in table
+# drops the ZWNJ and composes ড + nukta, a table that reads ZWNJ as text
+# and the nukta as a control keeps ড ZWNJ.
+_SPLIT_NUKTA = "\u09a1\u200c\u09bc"
+
+
+def _tables():
+    """Fresh tables, so each test starts with a cold replay memo."""
+    builtin = ab.CharTable.from_lines(ab.BENGALI_TABLE.to_lines())
+    reclassified = ab.CharTable.from_lines(
+        [line for line in ab.BENGALI_TABLE.to_lines() if not line.startswith("09BC ")]
+        + ["09BC ZeroWidthControl", "200C Other"])
+    return builtin, reclassified
+
+
+class TestReplayMemo:
+    """Replay flattens each distinct payload once per table."""
+
+    def test_each_table_replays_to_its_own_text(self):
+        builtin, reclassified = _tables()
+        cases = [(ab.TechniqueProfile("t", table=builtin), "\u09dc"),
+                 (ab.TechniqueProfile("t", table=reclassified), "\u09a1\u200c")]
+        for _ in range(2):  # cold, then warm
+            for profile, text in cases + cases[::-1]:
+                result = ab.replay_events([ev(0, "char", _SPLIT_NUKTA)], profile)
+                assert result.text == text
+
+    def test_distinct_payloads_are_flattened_once(self, monkeypatch):
+        calls = []
+        flatten = ab.to_output_stream
+
+        def counting(text, table):
+            calls.append(text)
+            return flatten(text, table)
+
+        monkeypatch.setattr("abugida.streams.to_output_stream", counting)
+        profile = ab.TechniqueProfile("t", frozenset({"ক্ষ"}), table=_tables()[0])
+        events = [ev(0, "char", "ক"), ev(10, "unit", "ক্ষ"), ev(20, "char", "ক"),
+                  ev(30, "bksp"), ev(40, "unit", "ক্ষ")]
+        first = ab.replay_events(events, profile)
+        assert ab.replay_events(events, profile) == first
+        assert sorted(calls) == ["ক", "ক্ষ"]
+
+    def test_zwj_spelled_unit_replays_as_its_unit(self):
+        profile = ab.TechniqueProfile("t", frozenset({"র্য"}), backspace_granularity="unit",
+                                      table=_tables()[0])
+        # The char event splits the same payload into three atoms.
+        events = [ev(0, "unit", "র\u200d্য"), ev(10, "char", "র\u200d্য")]
+        events += [ev(20 + i, "bksp") for i in range(4)]
+        for _ in range(2):  # cold, then warm
+            result = ab.replay_events(events, profile)
+            assert result.erased == ("য", "্", "র", "র্য")
+            assert result.text == ""
+
+    def test_undeclared_unit_fails_on_a_memo_hit(self):
+        table = _tables()[0]
+        declared = ab.TechniqueProfile("t", frozenset({"ক্ষ"}), table=table)
+        undeclared = ab.TechniqueProfile("u", table=table)
+        assert ab.replay_events([ev(0, "unit", "ক্ষ")], declared).text == "ক্ষ"
+        assert ab.replay_events([ev(0, "char", "ক্ষ")], undeclared).text == "ক্ষ"
+        with pytest.raises(ab.UnknownUnitError, match="not declared"):
+            ab.replay_events([ev(0, "unit", "ক্ষ")], undeclared)
+
+
 class TestClassifyKeystrokes:
     """The C / IF / F / INF split, as analyze_session reports it."""
 
