@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bengali import BENGALI_TABLE, OutputStream, segment_graphemes, to_output_stream
+from .bengali import BENGALI_TABLE, segment_graphemes, to_output_stream
 from .errors import (
     AbugidaError,
     EmptyGroupError,
@@ -41,7 +41,8 @@ from .errors import (
     ZeroDurationError,
 )
 from .msd import CostMode, CostModel, TechniqueProfile, align_symbols, msd
-from .streams import build_input_stream, replay_events, session_duration_s
+from .streams import (build_input_stream, replay_events, replay_matches,
+                      session_duration_s)
 
 if TYPE_CHECKING:
     from .sessionio import SessionRecord
@@ -202,15 +203,13 @@ def _evaluate(session: "SessionRecord",
     cost = CostModel(config.msd_cost_mode)
 
     # The view's symbols: grapheme clusters aligned without unit costs, or
-    # constituents.  Either way they concatenate to the output-stream text,
-    # which replay must reproduce; erased atoms are counted in them too.
+    # the output stream's constituents.  Erased atoms are counted in them too.
     if naive:
         symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
         align = lambda t, p: align_symbols(t, p, None, None, cost, script=False)
     else:
-        symbols = lambda text: to_output_stream(text, table).text
-        align = lambda t, p: msd(OutputStream(t), OutputStream(p), profile, cost,
-                                 script=False)
+        symbols = lambda text: to_output_stream(text, table)
+        align = lambda t, p: msd(t, p, profile, cost, script=False)
     # Most transcriptions equal their presented text (1109 of the 2000 in the
     # benchmark's study log); those are flattened or cut once.
     sym_p = symbols(session.presented)
@@ -224,8 +223,9 @@ def _evaluate(session: "SessionRecord",
     stream = build_input_stream(session.events)
     seconds = session_duration_s(stream)
 
+    # Both views and validate-log decide the match by the same predicate.
     replay = replay_events(stream, profile)
-    if replay.text != "".join(sym_t):
+    if not replay_matches(replay.text, session.transcribed, table):
         raise TranscriptionMismatchError(
             f"events replay to {replay.text!r}, log says "
             f"{session.transcribed!r}")

@@ -125,11 +125,6 @@ class CostModel:
             return 1.0 / n
         return 1.0
 
-    def unit_substitute_cost(self, n: int, m: int) -> float:
-        if self.mode is CostMode.PAPER_LITERAL:
-            return 1.0 / max(n, m)
-        return 1.0
-
 
 @dataclass(frozen=True, slots=True)
 class Segment:
@@ -252,11 +247,12 @@ def _checked_units(units: Mapping[int, int] | None, length: int,
 
 def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
                ua: Mapping[int, int], ub: Mapping[int, int], step: int,
-               edit_w: Mapping[int, int], sub_w: Mapping[tuple[int, int], int],
-               lo: int, hi: int, script: bool) -> tuple[int, int, tuple[EditOp, ...]]:
+               edit_w: Mapping[int, int], lo: int, hi: int,
+               script: bool) -> tuple[int, int, tuple[EditOp, ...]]:
     """The DP over the cells with lo <= j - i <= hi; the rest cost INF.
 
-    Basic steps cost ``step``, unit steps ``edit_w[k]`` or ``sub_w[ka, kb]``.
+    Basic steps cost ``step`` and a unit edit of length k ``edit_w[k]``; a
+    unit substitution of lengths ka and kb costs ``edit_w[max(ka, kb)]``.
     Rows are indexed by j + 1, so position 0 is an INF column left of the
     table.  Only the last k + 1 rows are kept (k is the longest unit), each
     with the INF count carried along its cell's argmin; with ``script`` the
@@ -304,10 +300,11 @@ def _band_pass(a: tuple[str, ...], b: tuple[str, ...],
                 best, f, op = c, leftf + 1, _INSERT
             if kb or ka:
                 if kb and ka and sa != b_units[j]:
-                    w = sub_w[ka, kb]
+                    longer = max(ka, kb)
+                    w = edit_w[longer]
                     c = urow[j - kb + 1] + w
                     if c < best:
-                        best, f = c, urowf[j - kb + 1] + max(ka, kb)
+                        best, f = c, urowf[j - kb + 1] + longer
                         op = (EditOpKind.UNIT_SUBSTITUTE, ka, kb, w / step)
                 if ka:
                     c = urow[j + 1] + del_w
@@ -398,21 +395,24 @@ def align_symbols(a: Sequence[str],
 
     Costs are integers in units of 1/L, L being the least common multiple
     of the unit lengths in both maps (1 without units): a basic step costs
-    L, a unit step L times its :class:`CostModel` cost, a whole number.
+    L, and a unit edit of length k costs w_k, L times
+    :meth:`CostModel.unit_edit_cost`, a whole number.  A unit substitution
+    of lengths ka and kb costs the edit of the longer unit, w_max(ka, kb).
     The distance is D / L, and distance, INF and script are the exact full
     (m+1)×(n+1) table's, ties included.
 
     Only a band of diagonals d = j - i is computed (Ukkonen 1985).  Per
     diagonal moved, a basic step costs L and a unit edit of length k' costs
-    L/k'² (``paper``) or L/k' (``normalized``); a substitution of lengths
-    ka ≠ kb moves |ka − kb| < max(ka, kb) diagonals for L/max(ka, kb) or
-    L, more than the longer unit's edit.  So the longest unit k's edit,
-    w_k / k (L without units), is the cheapest, and a path through d costs
-    at least (w_k / k)·(|d| + |d − δ|), δ = n − m.  A first pass in
-    [min(0, δ) − 4, max(0, δ) + 4] costs D, and a second keeps every d
-    with |d| + |d − δ| <= D·k // w_k: every optimal or tied path lies
-    there, with the full table's value and argmin in each of its cells.
-    INF, the width of every non-match step, is carried along the argmins.
+    w_k' / k': L/k'² (``paper``) or L/k' (``normalized``).  A substitution
+    of lengths ka ≠ kb moves |ka − kb| < max(ka, kb) diagonals for the
+    longer unit's edit, dearer per diagonal than that edit.  So the longest
+    unit k's edit, w_k / k (L without units), is the cheapest, and a path
+    through d costs at least (w_k / k)·(|d| + |d − δ|), δ = n − m.  A
+    first pass in [min(0, δ) − 4, max(0, δ) + 4] costs D, and a second
+    keeps every d with |d| + |d − δ| <= D·k // w_k: every optimal or tied
+    path lies there, with the full table's value and argmin in each of its
+    cells.  INF, the width of every non-match step, is carried along the
+    argmins.
 
     Time is O((m + n)·w) for a band of w diagonals, and memory O(k·n)
     for the last k + 1 rows.  ``script=False`` skips the edit script
@@ -459,19 +459,16 @@ def align_symbols(a: Sequence[str],
     # Each product is a whole number; round() only undoes the float's error.
     edit_w = {k: round(cost.unit_edit_cost(k) * step)
               for k in {*ua.values(), *ub.values()}}
-    sub_w = {(ka, kb): round(cost.unit_substitute_cost(ka, kb) * step)
-             for ka in set(ua.values()) for kb in set(ub.values())}
     delta = n - m
     lo, hi = min(0, delta) - _NARROW, max(0, delta) + _NARROW
-    distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, sub_w,
-                                      lo, hi, script)
+    distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, lo, hi, script)
     if lo > -m or hi < n:  # the first band left cells out: bound the rest
         k = max(edit_w, default=1)
         reach = distance * k // edit_w.get(k, step)
         lo2 = max(-m, -((reach - delta) // 2))
         hi2 = min(n, (delta + reach) // 2)
         if lo2 < lo or hi2 > hi:
-            distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, sub_w,
+            distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w,
                                               lo2, hi2, script)
     return AlignmentResult(distance / step, steps + tail, inf)
 

@@ -33,8 +33,11 @@ VARIANTS = {
     "analyze.json": ["analyze", "--format", "json"],
     "per_session.csv": ["analyze", "--per-session"],
     "per_session.json": ["analyze", "--per-session", "--format", "json"],
+    "per_session_normalized.json": ["analyze", "--per-session", "--format", "json",
+                                    "--msd-cost-mode", "normalized"],
     "compare.csv": ["compare-naive"],
     "compare.json": ["compare-naive", "--format", "json"],
+    "compare_normalized.csv": ["compare-naive", "--msd-cost-mode", "normalized"],
     "validate.txt": ["validate-log"],
 }
 

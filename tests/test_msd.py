@@ -180,6 +180,10 @@ class TestUnitCosts:
         result = ab.msd(stream("ab"), stream("cde"), UNIT_PROFILE)
         assert result.distance == pytest.approx(1 / 3)
         assert [op.kind for op in result.script] == [ab.EditOpKind.UNIT_SUBSTITUTE]
+        normalized = ab.msd(stream("ab"), stream("cde"), UNIT_PROFILE,
+                            ab.CostModel(ab.CostMode.NORMALIZED_UNIT))
+        assert normalized.distance == 1.0
+        assert [op.kind for op in normalized.script] == [ab.EditOpKind.UNIT_SUBSTITUTE]
 
     def test_identical_units_match_for_free(self):
         assert ab.msd(stream("ab"), stream("ab"), UNIT_PROFILE).distance == 0.0

@@ -168,14 +168,16 @@ def test_in_model_sessions_have_no_negative_correct_in_clusters(granularity, dat
 
 
 @pytest.mark.parametrize("granularity", ["basic", "unit"])
+@pytest.mark.parametrize("evaluate", [ab.analyze_session, ab.naive_metrics],
+                         ids=lambda f: f.__name__)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_analyze_accepts_what_validate_log_matches(granularity, data):
-    """``analyze`` and ``validate-log`` agree on what a session contains."""
+def test_analyze_accepts_what_validate_log_matches(evaluate, granularity, data):
+    """Both views and ``validate-log`` agree on what a session contains."""
     record, profile = data.draw(typed_sessions(granularity))
     replayed = ab.replay_transcription(record.events, profile)
     assert replay_matches(replayed, record.transcribed)
-    ab.analyze_session(record, profile)
+    evaluate(record, profile)
 
     # One constituent of the transcription becomes গ, which no key types.
     flat = ab.to_output_stream(record.transcribed).text
@@ -184,4 +186,4 @@ def test_analyze_accepts_what_validate_log_matches(granularity, data):
         record, transcribed=ab.normalize(flat[:i] + "গ" + flat[i + 1:]))
     assert not replay_matches(replayed, changed.transcribed)
     with pytest.raises(ab.TranscriptionMismatchError):
-        ab.analyze_session(changed, profile)
+        evaluate(changed, profile)
