@@ -252,11 +252,11 @@ class CharTable:
         return re.compile(f"{single}|(?s:.){tail}")
 
     @cached_property
-    def _replay_memo(self) -> dict:
-        """Replay's memo of payload output-stream texts under this table.
+    def _replay_memo(self) -> dict[str, str]:
+        """Replay's memo: payload text to its output-stream text under this table.
 
-        Filled by :func:`abugida.streams.replay_events`, which keeps it to
-        one flattener and the distinct payload texts it replays.
+        Filled by :func:`abugida.streams.replay_events`, one entry per
+        distinct payload text it replays.
         """
         return {}
 

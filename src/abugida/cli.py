@@ -300,14 +300,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
+    created = False
     try:
         # "ab" fails at once on a bad path and keeps an existing file as it
-        # was, so a failed run costs no work and destroys no report.
+        # was, so a failed run costs no work and destroys no report; a file
+        # that this check created is removed again if the run fails.
         if args.out:
+            existed = os.path.exists(args.out)
             open(args.out, "ab").close()
+            created = not existed
         code, data = args.func(args, _load_table())
         _emit(data, args.out)
     except (_Exit, AbugidaError, OSError) as err:  # OSError: bad path or --out
+        if created:
+            os.remove(args.out)
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, _Exit) else EXIT_INPUT
     return code

@@ -100,12 +100,15 @@ def _read_bytes(data: Source) -> bytes | bytearray:
     return data if isinstance(data, (bytes, bytearray)) else data.read()
 
 
-def _decode(raw: bytes, where: str, file_start: bool = True) -> str:
-    """UTF-8 text of ``raw``; a U+FEFF opening a file is a byte order mark."""
+def _decode(raw: bytes, where: str = "", file_start: bool = True) -> str:
+    """UTF-8 text of ``raw``; a U+FEFF opening a file is a byte order mark.
+
+    ``where`` names a whole file in the error; a log line's carries ``line``.
+    """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise EncodingError(f"{where}: {err}") from err
+        raise EncodingError(f"{where}: {err}" if where else str(err)) from err
     return text.removeprefix("\ufeff") if file_start else text
 
 
@@ -261,21 +264,22 @@ def parse_session_log(data: Source,
                       table: CharTable = BENGALI_TABLE) -> list[SessionRecord]:
     """Parse a JSON Lines session log.  Blank lines are skipped.
 
-    A :class:`ParseError` names the line it arose on.  A session id may
-    appear once; a repeat names both lines.  Each distinct event
-    ``(k, p)`` pair is checked, normalized and flattened once per call:
-    a log's keystrokes draw on a small alphabet of payloads.
+    A :class:`ParseError` or :class:`EncodingError` carries the line it
+    arose on as ``line``.  A session id may appear once; a repeat names
+    both lines.  Each distinct event ``(k, p)`` pair is checked,
+    normalized and flattened once per call: a log's keystrokes draw on a
+    small alphabet of payloads.
     """
     records: list[SessionRecord] = []
     first_line: dict[str, int] = {}
     payloads: _Payloads = {}
     for lineno, raw in enumerate(_read_bytes(data).splitlines(), start=1):
-        text = _decode(raw, f"line {lineno}", file_start=lineno == 1)
-        if not text.strip():
-            continue
         try:
+            text = _decode(raw, file_start=lineno == 1)
+            if not text.strip():
+                continue
             record = _parse_record(_load_json(text), table, payloads)
-        except ParseError as err:
+        except (EncodingError, ParseError) as err:
             err.line = lineno
             raise
         first = first_line.setdefault(record.session_id, lineno)

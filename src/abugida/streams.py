@@ -16,10 +16,11 @@ guessed at: without a caret model any reconstruction would be fiction.
 
 Replay meets the same few payloads over and over (a study log of 2000
 sessions holds about 90,000 events but 80 distinct payloads), so it
-flattens each distinct payload text once per table and keeps the result
-in a memo on the table.  The memo is bounded by the distinct payload
-texts replayed under that table; checks that depend on the profile,
-such as whether a unit is declared, still run on every event.
+flattens each distinct payload text once per table.  Its memo is one
+dict on the table, ``CharTable._replay_memo``, from payload text to
+output-stream text, so it is bounded by the distinct payload texts
+replayed under that table.  Checks that depend on the profile, such as
+whether a unit is declared, still run on every event.
 """
 
 from __future__ import annotations
@@ -124,21 +125,6 @@ def session_duration_s(stream: Iterable[KeyEvent]) -> float:
     return (max(stamps) - min(stamps)) / 1000.0
 
 
-def _flat_texts(table: CharTable) -> dict[str, str]:
-    """Replay's memo on ``table``: payload text to output-stream text.
-
-    It holds the texts of one flattener, the ``to_output_stream`` bound in
-    this module, so a function rebound there at run time (a tracing
-    wrapper) starts from an empty memo and sees every distinct payload.
-    """
-    memos = table._replay_memo
-    flat = memos.get(to_output_stream)
-    if flat is None:
-        memos.clear()
-        flat = memos[to_output_stream] = {}
-    return flat
-
-
 def replay_events(events: Iterable[KeyEvent],
                   profile: TechniqueProfile | None = None) -> ReplayResult:
     """Replay keystrokes into canonical text, tracking erased material.
@@ -168,7 +154,7 @@ def replay_events(events: Iterable[KeyEvent],
     if profile is not None:
         table = profile.table
         per_unit = profile.backspace_granularity is BackspaceGranularity.UNIT
-    flat = _flat_texts(table)
+    flat = table._replay_memo
 
     atoms: list[str] = []
     erased: list[str] = []

@@ -580,6 +580,18 @@ class TestOut:
         assert code == 2
         assert report.read_bytes() == b"an earlier report\r\n"
 
+    @pytest.mark.parametrize("missing, code", [("log", 1), ("profiles", 2)])
+    def test_failed_run_leaves_no_new_report(self, capsys, tmp_path, sidebar_log_file,
+                                             sidebar_profile_file, missing, code):
+        paths = {"log": sidebar_log_file, "profiles": sidebar_profile_file,
+                 missing: str(tmp_path / "missing")}
+        report = tmp_path / "new.csv"
+        got, out, err = run(capsys, "analyze", paths["log"], "--profiles",
+                            paths["profiles"], "--out", str(report))
+        assert got == code
+        assert (out, err.count("error:")) == ("", 1)
+        assert not report.exists()
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_replaces_existing_file(self, capsys, tmp_path, command_argv,
                                         command):

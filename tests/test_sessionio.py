@@ -456,6 +456,45 @@ class TestPhraseSet:
         assert ps.phrases == ("ড়",)
 
 
+def _decode_message(raw: bytes) -> str:
+    with pytest.raises(UnicodeDecodeError) as caught:
+        raw.decode("utf-8")
+    return str(caught.value)
+
+
+class TestUndecodableInput:
+    """A log line's error carries its ``line``; a whole file's names the file."""
+
+    BAD = b"\xff\xfe{}"
+
+    @pytest.mark.parametrize("first", [log_bytes(sidebar_log_obj()), b"\n"],
+                             ids=["record", "blank"])
+    def test_log_line_sets_line(self, first):
+        with pytest.raises(ab.EncodingError) as caught:
+            ab.parse_session_log(first + self.BAD + b"\n")
+        assert caught.value.line == 2
+        assert str(caught.value) == f"line 2: {_decode_message(self.BAD)}"
+
+    @pytest.mark.parametrize("load, where", [
+        (ab.parse_technique_profile, "technique profile"),
+        (lambda data: ab.load_phrase_set(data, "corpus.txt"), "corpus.txt"),
+        (ab.load_phrase_set, "phrase set"),
+    ])
+    def test_whole_file_names_it(self, load, where):
+        with pytest.raises(ab.EncodingError) as caught:
+            load(self.BAD)
+        assert caught.value.line is None
+        assert str(caught.value) == f"{where}: {_decode_message(self.BAD)}"
+
+    def test_table_file_names_its_path(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes(self.BAD)
+        with pytest.raises(ab.EncodingError) as caught:
+            ab.load_table_file(str(path))
+        assert caught.value.line is None
+        assert str(caught.value) == f"{path}: {_decode_message(self.BAD)}"
+
+
 class TestCorpusWordLength:
     """The word length corpus-stats prints: characters over words."""
 
