@@ -13,6 +13,8 @@ built-in Bengali table for every command.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import logging
 import math
 import os
@@ -99,22 +101,30 @@ def _read_profile(path: str, table: CharTable) -> TechniqueProfile:
         raise _Exit(EXIT_PROFILES, f"{path}: {err}") from err
 
 
+def _profile_paths(path: str) -> list[str]:
+    """``path``, or every *.json in it if it is a directory.
+
+    Every failure exits 2, naming the directory.
+    """
+    if not os.path.isdir(path):
+        return [path]
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as err:
+        raise _Exit(EXIT_PROFILES, str(err)) from err
+    paths = [os.path.join(path, n) for n in names if n.endswith(".json")]
+    if not paths:
+        raise _Exit(EXIT_PROFILES, f"{path}: no profile files")
+    return paths
+
+
 def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
     """Load one profile file or every *.json in a directory.
 
     Every failure exits 2, naming the file or directory at fault.
     """
-    paths = [path]
-    if os.path.isdir(path):
-        try:
-            names = sorted(os.listdir(path))
-        except OSError as err:
-            raise _Exit(EXIT_PROFILES, str(err)) from err
-        paths = [os.path.join(path, n) for n in names if n.endswith(".json")]
-        if not paths:
-            raise _Exit(EXIT_PROFILES, f"{path}: no profile files")
     profiles: dict[str, TechniqueProfile] = {}
-    for where in paths:
+    for where in _profile_paths(path):
         profile = _read_profile(where, table)
         if profile.technique_id in profiles:
             raise _Exit(EXIT_PROFILES, f"{where}: duplicate profile for "
@@ -127,7 +137,20 @@ def _load_study(args: argparse.Namespace, table: CharTable
                 ) -> tuple[dict[str, TechniqueProfile], list[SessionRecord]]:
     """Profiles and sessions of a log command, every technique resolved."""
     profiles = _load_profiles(args.profiles, table)
-    records = parse_session_log(_read_file(args.log), table)
+    data = _read_file(args.log)
+    # The parsed log holds no reference cycles, so the collector would
+    # only rescan it: it is paused while the log is parsed, and the log
+    # is frozen out of its passes for the rest of the command (main
+    # unfreezes it).
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = parse_session_log(data, table)
+        if not gc.get_freeze_count():
+            gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
     if not records:
         raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
     missing = sorted({r.technique_id for r in records} - set(profiles))
@@ -296,10 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_input_as_out(args: argparse.Namespace) -> None:
+    """Exit 1 if the existing ``--out`` file is one that the command reads."""
+    inputs = [getattr(args, name, None) for name in ("log", "profile", "phrases")]
+    inputs.append(os.environ.get("ABUGIDA_TABLE"))
+    if getattr(args, "profiles", None):
+        with contextlib.suppress(_Exit):  # loading the profiles reports it
+            inputs += _profile_paths(args.profiles)
+    for path in filter(None, inputs):
+        if os.path.exists(path) and os.path.samefile(path, args.out):
+            raise _Exit(EXIT_INPUT, f"--out {args.out} would overwrite the "
+                        f"input file {path}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
+    thawed = not gc.get_freeze_count()  # else _load_study freezes nothing
     created = False
     try:
         # "ab" fails at once on a bad path and keeps an existing file as it
@@ -307,6 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # that this check created is removed again if the run fails.
         if args.out:
             existed = os.path.exists(args.out)
+            if existed:
+                _refuse_input_as_out(args)
             open(args.out, "ab").close()
             created = not existed
         code, data = args.func(args, _load_table())
@@ -316,6 +355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.remove(args.out)
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, _Exit) else EXIT_INPUT
+    finally:
+        if thawed:
+            gc.unfreeze()
     return code
 
 

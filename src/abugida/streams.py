@@ -25,10 +25,12 @@ whether a unit is declared, still run on every event.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, unique
+from itertools import repeat
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
 from .errors import (
@@ -81,6 +83,20 @@ class KeyEvent:
             raise ValueError(f"negative timestamp: {self.t_ms}")
         if self.kind in _TEXTLESS and self.payload:
             raise ValueError(f"{self.kind.value} events carry no payload")
+
+
+def _checked_events(stamps: Sequence[int], kinds: Iterable[KeyEventKind],
+                    payloads: Iterable[str]) -> list[KeyEvent]:
+    """KeyEvents from fields that the caller has already checked.
+
+    Skips ``__post_init__``: each field is set through its slot, one
+    pass per field over all events, with no Python call per event.
+    """
+    events = list(map(object.__new__, repeat(KeyEvent, len(stamps))))
+    for slot, values in ((KeyEvent.t_ms, stamps), (KeyEvent.kind, kinds),
+                         (KeyEvent.payload, payloads)):
+        deque(map(slot.__set__, events, values), 0)
+    return events
 
 
 @dataclass(frozen=True)

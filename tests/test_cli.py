@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -606,6 +608,70 @@ class TestOut:
     def test_dev_null(self, capsys, command_argv):
         code, out, err = run(capsys, *command_argv["analyze"], "--out", "/dev/null")
         assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("command", ["analyze", "compare-naive", "validate-log"])
+    @pytest.mark.parametrize("target", ["log", "profile", "profile-in-directory",
+                                        "link-to-log"])
+    def test_out_naming_an_input_is_refused(self, capsys, tmp_path, sidebar_log_file,
+                                            sidebar_profile_file, command, target):
+        """The log or a profile is never overwritten by the report."""
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        in_directory = write_json(profiles / "p.json", sidebar_profile_obj())
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(sidebar_log_file)
+        out_path, profiles_arg = {
+            "log": (sidebar_log_file, sidebar_profile_file),
+            "profile": (sidebar_profile_file, sidebar_profile_file),
+            "profile-in-directory": (in_directory, str(profiles)),
+            "link-to-log": (str(link), sidebar_profile_file),
+        }[target]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*.json*")}
+        code, out, err = run(capsys, command, sidebar_log_file,
+                             "--profiles", profiles_arg, "--out", out_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --out {out_path} would overwrite the input")
+        assert err.count("\n") == 1
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*.json*")} == before
+
+    @pytest.mark.parametrize("target", ["phrases", "table"])
+    def test_out_naming_another_input_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                 command_argv, target):
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join(ab.BENGALI_TABLE.to_lines()) + "\n",
+                         encoding="utf-8")
+        monkeypatch.setenv("ABUGIDA_TABLE", str(table))
+        path = {"phrases": command_argv["corpus-stats"][1], "table": str(table)}[target]
+        before = Path(path).read_bytes()
+        code, out, err = run(capsys, *command_argv["corpus-stats"], "--out", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: --out {path} would overwrite the input file {path}\n"
+        assert Path(path).read_bytes() == before
+
+
+class TestCollectorState:
+    """Log commands pause and freeze the collector; main restores both."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("log, code", [
+        ("good", 0), ("bad-line", 1), ("unknown-technique", 2)])
+    def test_main_restores_collector(self, capsys, tmp_path, sidebar_profile_file,
+                                     enabled, log, code):
+        objs = {"good": [sidebar_log_obj()],
+                "bad-line": [sidebar_log_obj(), {"session_id": 1}],
+                "unknown-technique": [clean_log_obj()]}[log]
+        path = write_jsonl(tmp_path / "log.jsonl", objs)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            got, _, _ = run(capsys, "validate-log", path,
+                            "--profiles", sidebar_profile_file)
+            state = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert got == code
+        assert state == (enabled, frozen)
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare-naive"])

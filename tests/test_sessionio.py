@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abugida as ab
+from abugida import sessionio
 from abugida.sessionio import (
     corpus_totals,
     write_analysis_report,
@@ -324,6 +328,136 @@ class TestPayloadMemo:
         assert payload(ab.BENGALI_TABLE) == "\u09dc"
         assert payload(no_nukta_pair) == "\u09a1\u09bc"
         assert payload(ab.BENGALI_TABLE) == "\u09dc"
+
+
+def parse_outcome(data: bytes):
+    """The records ``parse_session_log`` gives, or its error's fields."""
+    try:
+        records = ab.parse_session_log(data)
+    except ab.AbugidaError as err:
+        return type(err), str(err), err.line, err.field
+    return records, {type(e.kind) for r in records for e in r.events}
+
+
+def one_at_a_time(data: bytes):
+    """``parse_outcome`` with the hook on every line and a call per event."""
+    with mock.patch.object(sessionio, "_load_record", sessionio._load_json), \
+            mock.patch.object(sessionio, "_bulk_events", lambda *args: None):
+        return parse_outcome(data)
+
+
+_GONE = object()  # a mutation that deletes its key
+VALID_EVENTS = [{"k": "char", "p": "ক"}, {"k": "char", "p": "া"},
+                {"k": "char", "p": " "}, {"k": "unit", "p": "ক্ষ"},
+                {"k": "bksp", "p": ""}, {"k": "bksp"}, {"k": "mod", "p": ""},
+                {"k": "edit"}]
+MUTATIONS = [
+    {"t": _GONE}, {"k": _GONE}, {"p": _GONE}, {"x": 1},
+    {"t": -1}, {"t": 2 ** 53 + 1}, {"t": True}, {"t": 1.0},
+    {"k": "tap"}, {"k": 3}, {"k": None}, {"p": ["ক"]}, {"p": 5},
+    {"k": "bksp", "p": "ক"}, {"k": "mod", "p": "া"},
+    {"k": "char", "p": "\u200c"}, {"k": "char", "p": ""}, {"k": "unit", "p": "ক"},
+    {"p": "ক\ud800"},
+]
+
+
+@st.composite
+def event_logs(draw) -> bytes:
+    """A log of one or two records, at most one event mutated in one field."""
+    stamps = st.integers(0, 20) | st.just(2 ** 53)
+    records = [[dict(draw(st.sampled_from(VALID_EVENTS)), t=draw(stamps))
+                for _ in range(draw(st.integers(1, 6)))]
+               for _ in range(draw(st.integers(1, 2)))]
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS + ["not-an-object"]))
+    if mutation is not None:
+        events = draw(st.sampled_from(records))
+        i = draw(st.integers(0, len(events) - 1))
+        if mutation == "not-an-object":
+            events[i] = [events[i]["t"]]
+        else:
+            for key, value in mutation.items():
+                events[i].pop(key, None)
+                if value is not _GONE:
+                    events[i][key] = value
+    separators = draw(st.sampled_from([None, (",", ":"), (" , ", " : ")]))
+    escaped = draw(st.booleans())  # else a lone surrogate is undecodable
+    return "".join(
+        json.dumps(dict(sidebar_log_obj(f"s{n}"), events=events),
+                   ensure_ascii=escaped, separators=separators) + "\n"
+        for n, events in enumerate(records)).encode("utf-8", "surrogatepass")
+
+
+class TestBulkIngest:
+    """Whole-record checks and the hook-free decode change no result or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(event_logs())
+    def test_same_outcome_as_one_event_at_a_time(self, data):
+        assert parse_outcome(data) == one_at_a_time(data)
+
+    @pytest.mark.parametrize("separators", [None, (",", ":")])
+    def test_valid_log_takes_neither_fallback(self, separators):
+        data = "".join(json.dumps(sidebar_log_obj(s), ensure_ascii=False,
+                                  separators=separators) + "\n"
+                       for s in ("s1", "s2")).encode()
+        with mock.patch.object(sessionio, "_load_json", side_effect=AssertionError), \
+                mock.patch.object(sessionio, "_parse_events",
+                                  side_effect=AssertionError):
+            outcome = parse_outcome(data)
+        assert outcome == one_at_a_time(data)
+        assert outcome[1] == {ab.KeyEventKind}
+
+    LINE = json.dumps(sidebar_log_obj("s1"), ensure_ascii=False)
+    COMPACT = json.dumps(sidebar_log_obj("s1"), ensure_ascii=False,
+                         separators=(",", ":"))
+
+    @pytest.mark.parametrize("line, key", [
+        (LINE.replace('"participant_id": "p1",',
+                      '"participant_id": "p1", "participant_id": "p1",'),
+         "participant_id"),
+        (LINE.replace('{"t": 0,', '{"t": 0, "t": 0,'), "t"),
+        (LINE.replace('"p": "ি"}]', '"p": "ি", "p": "ি"}]'), "p"),
+        (LINE.replace('{"t": 0,', '{"t" : 0, "t": 0,'), "t"),
+        (COMPACT.replace('{"t":0,', '{"t"\t:0,"t":0,'), "t"),
+        (LINE.replace('{"t": 0,', '{"t": 0, "t": 0,')[:-1], "t"),
+        (LINE.replace('"inf_override": null',
+                      '"inf_override": null, "x": {"a": 1, "a": 1}'), "a"),
+    ], ids=["record", "first-event", "last-event", "spaced", "compact-tab",
+            "then-a-syntax-error", "nested-in-unknown-field"])
+    def test_repeated_key_is_reported(self, line, key):
+        data = (line + "\n").encode()
+        with pytest.raises(ab.ParseError) as info:
+            ab.parse_session_log(data)
+        assert str(info.value) == f"line 1: duplicate key {key!r}"
+        assert parse_outcome(data) == one_at_a_time(data)
+
+    def test_nested_object_without_repeat_is_an_unknown_field(self):
+        line = self.LINE.replace('"inf_override": null',
+                                 '"inf_override": null, "x": {"a": 1}')
+        with pytest.raises(ab.ParseError, match="^line 1: unknown field 'x'$"):
+            ab.parse_session_log((line + "\n").encode())
+
+    @pytest.mark.parametrize("path, value", [
+        (["events", 2, "p"], 'ক":'), (["events", 2, "p"], 'ক" :'),
+        (["presented"], 'ক":'), (["presented"], 'ক" :'),
+    ])
+    @pytest.mark.parametrize("separators", [None, (",", ":")])
+    def test_quote_colon_in_a_value_parses_through_the_hook(self, path, value,
+                                                             separators):
+        obj = sidebar_log_obj()
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        data = (json.dumps(obj, ensure_ascii=False, separators=separators)
+                + "\n").encode()
+        with mock.patch.object(sessionio, "_load_json",
+                               wraps=sessionio._load_json) as hook:
+            outcome = parse_outcome(data)
+        assert hook.call_count == 1
+        assert outcome == one_at_a_time(data)
+        record, = outcome[0]
+        assert value in (record.presented, record.events[2].payload)
 
 
 class TestParseTechniqueProfile:
