@@ -169,6 +169,9 @@ def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes
     config = _metric_config(args)
     results = [analyze_session(r, profiles[r.technique_id], config)
                for r in records]
+    # Every session is scored: nothing after this reads the parsed log,
+    # so it is freed before the summaries and the report are built.
+    del records
     summaries = aggregate(results)
     return EXIT_OK, write_analysis_report(
         summaries, results if args.per_session else None, args.format)
@@ -181,6 +184,7 @@ def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int,
                 for r in records]
     naive = [naive_metrics(r, profiles[r.technique_id], config)
              for r in records]
+    del records  # as in _cmd_analyze: the report needs only the scores
     return EXIT_OK, write_compare_report(aggregate(proposed), aggregate(naive),
                                          args.format)
 

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from operator import le
-from typing import IO, TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
 from .bengali import (_LONE_SURROGATE, BENGALI_TABLE, CharTable, normalize,
                       to_output_stream)
@@ -194,13 +194,18 @@ def _norm(text: str, table: CharTable, field: str) -> str:
         raise ParseError(str(err), field=field) from err
 
 
-def _require_str(obj: dict, key: str, nonempty: bool = False) -> str:
+def _string(obj: dict, key: str, nonempty: bool = False) -> str:
+    """``obj[key]`` as a string, not yet scanned for lone surrogates."""
     value = obj.get(key)
     if not isinstance(value, str):
         raise ParseError("expected a string", field=key)
     if nonempty and not value:
         raise ParseError("must not be empty", field=key)
-    return _no_lone_surrogate(value, key)
+    return value
+
+
+def _require_str(obj: dict, key: str, nonempty: bool = False) -> str:
+    return _no_lone_surrogate(_string(obj, key, nonempty), key)
 
 
 def _no_lone_surrogate(value: str, field: str) -> str:
@@ -312,8 +317,10 @@ def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> Session
     session_id = _require_str(obj, "session_id", nonempty=True)
     technique_id = _require_str(obj, "technique_id", nonempty=True)
     participant_id = _require_str(obj, "participant_id")
-    presented = _norm(_require_str(obj, "presented"), table, "presented")
-    transcribed = _norm(_require_str(obj, "transcribed"), table, "transcribed")
+    # normalize scans for a lone surrogate, and _norm reports it as
+    # _require_str would: same message, same field.
+    presented = _norm(_string(obj, "presented"), table, "presented")
+    transcribed = _norm(_string(obj, "transcribed"), table, "transcribed")
     inf_override = obj.get("inf_override")
     if inf_override is not None and not _is_count(inf_override):
         raise _not_a_count(inf_override, "inf_override")
@@ -338,6 +345,31 @@ def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> Session
     )
 
 
+def _lines(data: bytes | bytearray) -> Iterator[bytes | bytearray]:
+    """The lines of ``data``, cut one at a time, as ``data.splitlines()`` cuts them.
+
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and no empty
+    line follows a final line end.  Only the line being read is copied
+    out of ``data``, where ``splitlines`` copies every line at once.  The
+    next ``\\n`` is found once and kept until the cut passes it, so a log
+    whose lines end in a lone ``\\r`` is still read in one pass.
+    """
+    find, end = data.find, len(data)
+    start, newline = 0, -1
+    while start < end:
+        if newline < start:
+            newline = find(b"\n", start)
+            if newline < 0:
+                newline = end
+        cr = find(b"\r", start, newline)
+        if cr < 0:
+            yield data[start:newline]
+            start = newline + 1
+        else:  # a lone \r, or the \r of \r\n
+            yield data[start:cr]
+            start = cr + 2 if cr + 1 == newline else cr + 1
+
+
 def parse_session_log(data: Source,
                       table: CharTable = BENGALI_TABLE) -> list[SessionRecord]:
     """Parse a JSON Lines session log.  Blank lines are skipped.
@@ -350,11 +382,15 @@ def parse_session_log(data: Source,
     and its events are checked by :func:`_bulk_events`; both fall back to
     the per-object and per-event checks, so every result and error is
     the same as theirs.
+
+    Lines are cut from ``data`` one at a time (:func:`_lines`), so beside
+    the bytes it was given and the records it returns the parser holds
+    one line and its decoded text, not a copy of the whole log.
     """
     records: list[SessionRecord] = []
     first_line: dict[str, int] = {}
     payloads: _Payloads = {}
-    for lineno, raw in enumerate(_read_bytes(data).splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(_read_bytes(data)), start=1):
         try:
             text = _decode(raw, file_start=lineno == 1)
             if not text.strip():

@@ -6,11 +6,13 @@ import contextlib
 import gc
 import io
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 import abugida as ab
+from abugida import cli
 from abugida.cli import main
 from conftest import sidebar_log_obj, sidebar_profile_obj, write_json, write_jsonl
 
@@ -672,6 +674,37 @@ class TestCollectorState:
             (gc.enable if was_enabled else gc.disable)()
         assert got == code
         assert state == (enabled, frozen)
+
+
+class TestLogReleasedBeforeReport:
+    """The scoring commands hold the parsed log only while they score."""
+
+    @pytest.mark.parametrize("argv, writer", [
+        (["analyze", "--per-session", "--format", "json"], "write_analysis_report"),
+        (["compare-naive"], "write_compare_report"),
+    ], ids=["analyze", "compare-naive"])
+    def test_no_record_is_alive_at_report_time(self, capsys, monkeypatch, tmp_path,
+                                               sidebar_profile_file, argv, writer):
+        records, alive = [], []
+        parse, write = cli.parse_session_log, getattr(cli, writer)
+
+        def parse_and_watch(*args):
+            parsed = parse(*args)
+            records.extend(map(weakref.ref, parsed))
+            return parsed
+
+        def count_and_write(*args):
+            alive.append(sum(ref() is not None for ref in records))
+            return write(*args)
+
+        monkeypatch.setattr(cli, "parse_session_log", parse_and_watch)
+        monkeypatch.setattr(cli, writer, count_and_write)
+        log = write_jsonl(tmp_path / "log.jsonl",
+                          [sidebar_log_obj("s1"), sidebar_log_obj("s2", "p2")])
+        code, _, err = run(capsys, argv[0], log, "--profiles", sidebar_profile_file,
+                           *argv[1:])
+        assert (code, err) == (0, "")
+        assert (len(records), alive) == (2, [0])
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare-naive"])

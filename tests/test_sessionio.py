@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -239,6 +240,8 @@ class TestParseSessionLog:
          "line 2, field 'technique_id': must not be empty"),
         (with_value(["presented"], "\ud800"),
          "line 2, field 'presented': lone surrogate U+D800 at index 0"),
+        (with_value(["transcribed"], "\u0995\udfff"),
+         "line 2, field 'transcribed': lone surrogate U+DFFF at index 1"),
         (with_value(["session_id"], "s\udfff"),
          "line 2, field 'session_id': lone surrogate U+DFFF at index 1"),
         (with_value(["inf_override"], -1),
@@ -267,10 +270,10 @@ class TestParseSessionLog:
          "line 2, field 'session_id': session id 's0' already used on line 1"),
     ], ids=["json-syntax", "duplicate-key", "not-an-object", "unknown-field",
             "missing-string", "empty-string", "surrogate-in-text",
-            "surrogate-in-id", "negative-inf-override", "huge-inf-override",
-            "empty-events", "float-t", "huge-t", "unknown-k", "list-p",
-            "event-not-an-object", "surrogate-in-p", "payload-shape",
-            "repeated-session-id"])
+            "surrogate-in-transcribed", "surrogate-in-id",
+            "negative-inf-override", "huge-inf-override", "empty-events",
+            "float-t", "huge-t", "unknown-k", "list-p", "event-not-an-object",
+            "surrogate-in-p", "payload-shape", "repeated-session-id"])
     def test_error_on_line_2_names_line_and_field(self, second, message):
         """Each error family names the line it arose on, after a good line."""
         data = (log_bytes(sidebar_log_obj("s0"))
@@ -458,6 +461,81 @@ class TestBulkIngest:
         assert outcome == one_at_a_time(data)
         record, = outcome[0]
         assert value in (record.presented, record.events[2].payload)
+
+
+def spliced(data: bytes):
+    """``parse_outcome`` with the lines cut all at once by ``bytes.splitlines``."""
+    with mock.patch.object(sessionio, "_lines", lambda raw: raw.splitlines()):
+        return parse_outcome(data)
+
+
+BAD_LAST_LINES = ["{oops", json.dumps(sidebar_log_obj("s0")), "[]",
+                  "{\x0c}", '{"session_id": "\u0085"}']
+
+
+@st.composite
+def reshaped_logs(draw) -> bytes:
+    """Valid lines and blank ones under mixed line ends, perhaps a byte
+    order mark, perhaps no final line end, perhaps a bad or undecodable
+    last line."""
+    lines = [json.dumps(sidebar_log_obj(f"s{n}"), ensure_ascii=False)
+             for n in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t"])))
+    last = draw(st.none() | st.sampled_from(BAD_LAST_LINES))
+    if last is not None:
+        lines.append(last)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if draw(st.booleans()):
+        data += b"\xff\n"
+    return b"\xef\xbb\xbf" + data if draw(st.booleans()) else data
+
+
+class TestLineCuts:
+    """The log is cut one line at a time, exactly where ``splitlines`` cuts it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\xef", b"\xbb", b"\xbf"]),
+                    max_size=40).map(b"".join))
+    def test_same_cuts_as_splitlines(self, data):
+        assert list(sessionio._lines(data)) == data.splitlines()
+        assert list(sessionio._lines(bytearray(data))) == bytearray(data).splitlines()
+
+    @pytest.mark.parametrize("alter", [
+        lambda d: d.replace(b"\n", b"\r\n"),
+        lambda d: d.replace(b"\n", b"\r"),
+        lambda d: d.replace(b"\n", b"\n\n \r\n\t\r"),
+        lambda d: b"\xef\xbb\xbf" + d,
+        lambda d: d.rstrip(b"\n"),
+        lambda d: d + b"{oops",
+        lambda d: d.replace(b"\n", b"\r") + b"[]\r",
+    ], ids=["crlf", "lone-cr", "blank-lines", "bom", "no-final-end",
+            "bad-last-line", "bad-last-line-after-cr"])
+    def test_altered_log_parses_as_with_splitlines(self, alter):
+        data = alter(log_bytes(*(sidebar_log_obj(f"s{n}") for n in range(3))))
+        assert parse_outcome(data) == spliced(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reshaped_logs())
+    def test_same_outcome_as_with_splitlines(self, data):
+        assert parse_outcome(data) == spliced(data)
+
+    def test_parser_holds_no_copy_of_the_lines(self):
+        data = log_bytes(*(sidebar_log_obj(f"s{n}", f"p{n}") for n in range(300)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            records = ab.parse_session_log(data)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 300
+        assert peak - retained < 0.25 * len(data)
 
 
 class TestParseTechniqueProfile:
