@@ -252,23 +252,6 @@ class CharTable:
         return re.compile(f"{single}|(?s:.){tail}")
 
     @cached_property
-    def _flat_fixed_point(self) -> bool:
-        """Whether replay's text under this table is its own flattening.
-
-        Decided from the table's controls and composition pairs; the rule
-        and its proof are at :func:`abugida.streams.replay_matches`.
-        """
-        if any(cls is CodepointClass.ZERO_WIDTH_CONTROL and cp not in ZERO_WIDTH_CONTROLS
-               for cp, cls in self.classes.items()):
-            return False
-        nfd = lambda cps: unicodedata.normalize("NFD", "".join(map(chr, cps)))
-        try:
-            return all(nfd(pair) == nfd((target,))
-                       for pair, target in self.compositions.items())
-        except (ValueError, OverflowError):  # a codepoint outside Unicode
-            return False
-
-    @cached_property
     def _replay_memo(self) -> dict[str, str]:
         """Replay's memo: payload text to its output-stream text under this table.
 

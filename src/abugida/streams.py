@@ -211,29 +211,8 @@ def replay_matches(replayed: str, transcribed: str,
                    table: CharTable = BENGALI_TABLE) -> bool:
     """Whether replayed text reproduces a stored, canonical transcription.
 
-    ``replayed`` is the text :func:`replay_events` gave under ``table``.
     Replay yields the canonical output-stream text, which holds no
     zero-width controls (ZWJ, ZWNJ and the like), so the transcription is
     compared in the same form and its controls are ignored.
-
-    A transcription equal to ``replayed`` matches without being flattened
-    when ``table._flat_fixed_point`` holds, decided once per table: then
-    replay's text is its own flattening, so the comparison would say True.
-    Proof.  Write N for ``normalize``, F for ``to_output_stream(.).text``
-    (F(x) = N(strip(x)), strip dropping the table's controls) and ≡ for
-    canonical equivalence, which concatenation keeps.  The property asks
-    (1) that the table's controls be among :data:`ZERO_WIDTH_CONTROLS`
-    and (2) that each composition pair be ≡ the codepoint it composes to.
-    By (2) each merge of ``compose`` swaps two adjacent codepoints for an
-    equivalent one, so N(x) = compose(NFC(x)) ≡ x; then NFC(N(x)) =
-    NFC(x), so N(N(x)) = N(x).  Replay's text is R = N(J), J the
-    concatenation of F(p) over the payloads p.  Those five controls have
-    no decomposition and occur in none, so equivalent texts hold each of
-    them equally often.  With (1), strip(p) holds no control, nor does
-    F(p) ≡ strip(p), nor J, nor R ≡ J.  So F(R) = N(R) = R.  A table that
-    fails (1) or (2) may break this (one that makes é a control flattens
-    e + U+0301 to é, which flattens to nothing), and takes the comparison.
     """
-    if replayed == transcribed and table._flat_fixed_point:
-        return True
     return replayed == to_output_stream(transcribed, table).text

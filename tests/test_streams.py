@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import sys
-import unicodedata
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import abugida as ab
-from abugida.bengali import ZERO_WIDTH_CONTROLS
-from abugida.streams import replay_matches
 
 
 def ev(t, kind, payload=""):
@@ -277,89 +270,3 @@ class TestClassifyKeystrokes:
         correct, _, _, inf_out = self.taxonomy("কখগঘঙ", events, inf_override=inf)
         assert inf_out == inf
         assert correct + inf_out == ab.to_output_stream("কখগঘঙ").length
-
-
-# Codepoints that NFC or a table below rewrites: Bengali letters, signs and
-# the nukta, the five zero-width controls, and Latin letters with combining
-# marks, the Angstrom sign and the precomposed letters they make.
-_MATCH_ALPHABET = ["ক", "ড", "য", "া", "ে", "ৗ", "ো", "\u09bc", "\u09dc", "্", " ",
-                   "\u200b", "\u200c", "\u200d", "\u2060", "\ufeff",
-                   "A", "B", "e", "\u0301", "\u030a", "\u0334",
-                   "\u00c5", "\u212b", "\u00e9"]
-_match_texts = st.text(alphabet=st.sampled_from(_MATCH_ALPHABET), max_size=6)
-
-# Records a loaded table may add or put in place of the built-in one for
-# the same codepoint: controls among the five or outside them, and
-# composition pairs canonically equivalent to their codepoint or not.
-_EXTRA_RECORDS = {
-    0x200C: ["200C Other"],
-    0x200D: ["200D ZeroWidthControl"],
-    0x00E9: ["00E9 ZeroWidthControl", "00E9 Other 0065 0301"],
-    0x0301: ["0301 ZeroWidthControl"],
-    0x09BC: ["09BC ZeroWidthControl"],
-    0x09DC: ["09DC Consonant"],
-    0x212B: ["212B Other 0041 030A", "212B Other 0041 0042"],
-    0x0041: ["0041 Consonant 0065 0334"],
-    0x00C5: ["00C5 Other 0042 0301"],
-}
-
-
-@st.composite
-def loaded_tables(draw) -> ab.CharTable:
-    records = {int(line.split()[0], 16): line for line in ab.BENGALI_TABLE.to_lines()}
-    for cp in draw(st.sets(st.sampled_from(sorted(_EXTRA_RECORDS)))):
-        records[cp] = draw(st.sampled_from(_EXTRA_RECORDS[cp]))
-    return ab.CharTable.from_lines(records.values())
-
-
-def _slow_match(replayed: str, transcribed: str, table: ab.CharTable) -> bool:
-    """``replay_matches`` without its shortcut: always flatten."""
-    return replayed == ab.to_output_stream(transcribed, table).text
-
-
-class TestReplayMatches:
-    """An equal transcription matches at once only where flattening keeps it."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.just(ab.BENGALI_TABLE) | loaded_tables(),
-           st.lists(_match_texts, min_size=1, max_size=4), _match_texts)
-    def test_shortcut_agrees_with_flattening(self, table, payloads, other):
-        profile = ab.TechniqueProfile("t", table=table)
-        replayed = ab.replay_events(
-            [ev(i, "char", p) for i, p in enumerate(payloads)], profile).text
-        for transcribed in (replayed, other, replayed + other):
-            assert (replay_matches(replayed, transcribed, table)
-                    == _slow_match(replayed, transcribed, table))
-
-    def test_zero_width_controls_take_no_part_in_canonical_equivalence(self):
-        """The proof's premise, under this interpreter's Unicode data: the
-        five controls have no canonical decomposition and occur in none."""
-        assert all(unicodedata.decomposition(chr(cp)) == "" for cp in ZERO_WIDTH_CONTROLS)
-        for cp in range(sys.maxunicode + 1):
-            parts = unicodedata.decomposition(chr(cp))
-            if parts and not parts.startswith("<"):  # "<...>": compatibility
-                assert not {int(h, 16) for h in parts.split()} & ZERO_WIDTH_CONTROLS
-
-    def test_builtin_table_takes_the_shortcut(self):
-        assert ab.BENGALI_TABLE._flat_fixed_point
-
-    @pytest.mark.parametrize("record", [
-        "00E9 ZeroWidthControl", "212B Other 0041 0042"])
-    def test_table_that_breaks_the_proof_does_not(self, record):
-        table = ab.CharTable.from_lines([record])
-        assert not table._flat_fixed_point
-
-    def test_replay_text_that_flattens_away_does_not_match(self):
-        # e + U+0301 composes to é, which this table drops as a control.
-        table = ab.CharTable.from_lines(["00E9 ZeroWidthControl"])
-        replayed = ab.replay_events([ev(0, "char", "é")],
-                                    ab.TechniqueProfile("t", table=table)).text
-        assert replayed == "\u00e9"
-        assert not replay_matches(replayed, replayed, table)
-
-    def test_equal_texts_are_not_flattened(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("abugida.streams.to_output_stream",
-                            lambda *args: calls.append(args))
-        assert replay_matches("ক্ষ", "ক্ষ")
-        assert calls == []
