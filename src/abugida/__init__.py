@@ -82,6 +82,7 @@ from .sessionio import (
     write_technique_profile,
 )
 from .streams import (
+    InputStream,
     KeyEvent,
     KeyEventKind,
     ReplayResult,

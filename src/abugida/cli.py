@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import logging
 import math
 import os
@@ -138,19 +137,7 @@ def _load_study(args: argparse.Namespace, table: CharTable
     """Profiles and sessions of a log command, every technique resolved."""
     profiles = _load_profiles(args.profiles, table)
     data = _read_file(args.log)
-    # The parsed log holds no reference cycles, so the collector would
-    # only rescan it: it is paused while the log is parsed, and the log
-    # is frozen out of its passes for the rest of the command (main
-    # unfreezes it).
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        records = parse_session_log(data, table)
-        if not gc.get_freeze_count():
-            gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
+    records = parse_session_log(data, table)
     if not records:
         raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
     missing = sorted({r.technique_id for r in records} - set(profiles))
@@ -340,7 +327,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
-    thawed = not gc.get_freeze_count()  # else _load_study freezes nothing
     created = False
     try:
         # "ab" fails at once on a bad path and keeps an existing file as it
@@ -359,9 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.remove(args.out)
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, _Exit) else EXIT_INPUT
-    finally:
-        if thawed:
-            gc.unfreeze()
     return code
 
 

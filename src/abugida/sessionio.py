@@ -26,7 +26,8 @@ A log's work is per event (a study of 2000 sessions logs about 90,000),
 so ingest avoids a Python call per event where it can prove the result
 the same: a line is decoded without the duplicate-key hook when a count
 of its key tokens shows that no object repeats a key, and a record's
-events are checked and built in a few passes over all of them.  Any
+events are checked in a few passes over all of them and kept as the
+columns of an :class:`InputStream`, not as one object each.  Any
 line or record that does not pass goes the slow way, one object and one
 event at a time, which raises the error with its line and field.
 """
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .metrics import METRIC_FIELDS, RATE_FIELDS, SessionIntermediates
 from .msd import BackspaceGranularity, TechniqueProfile
-from .streams import _T_MS, KeyEvent, KeyEventKind, _checked_events
+from .streams import _KIND_CODE, InputStream, KeyEvent, KeyEventKind
 
 if TYPE_CHECKING:
     from .metrics import SessionMetrics, TechniqueSummary
@@ -90,14 +91,19 @@ _PROFILE_FIELDS = frozenset({
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One transcription trial: texts plus the full keystroke log."""
+    """One transcription trial: texts plus the full keystroke log.
+
+    ``parse_session_log`` stores ``events`` as an :class:`InputStream`,
+    in time order; a tuple of :class:`KeyEvent` serves as well, and is
+    put in time order wherever it is timed or replayed.
+    """
 
     session_id: str
     technique_id: str
     participant_id: str
     presented: str
     transcribed: str
-    events: tuple[KeyEvent, ...]
+    events: Sequence[KeyEvent]
     inf_override: int | None = None
 
 
@@ -231,8 +237,8 @@ def _not_a_count(value: object, field: str) -> ParseError:
 
 
 def _event_payload(k: object, p: object, where: str,
-                   table: CharTable) -> tuple[KeyEventKind, str]:
-    """The kind and canonical payload of an event's ``k`` and ``p``."""
+                   table: CharTable) -> tuple[int, str]:
+    """The kind's code and the canonical payload of an event's ``k`` and ``p``."""
     if not isinstance(k, str) or k not in _EVENT_KINDS:
         raise ParseError(
             f"unknown event kind {k!r} (expected one of "
@@ -251,18 +257,21 @@ def _event_payload(k: object, p: object, where: str,
                              "characters", field=f"{where}.p")
     elif p:
         raise ParseError(f"{kind.value} events carry no payload", field=f"{where}.p")
-    return kind, p
+    return _KIND_CODE[kind], p
 
 
-_Payloads = dict[tuple[str, str], tuple[KeyEventKind, str]]
+_Payloads = dict[tuple[str, str], tuple[int, str]]
+# A record's events as columns: stamps, kind codes, canonical payloads.
+_Columns = tuple[Sequence[int], Sequence[int], Sequence[str]]
 
 
 def _parse_event(obj: object, index: int, table: CharTable,
-                 payloads: _Payloads) -> KeyEvent:
-    """One event; ``payloads`` holds the pairs already checked in this log.
+                 payloads: _Payloads) -> tuple[int, int, str]:
+    """One event's stamp, kind code and payload.
 
-    A pair is checked where it first occurs, so an error names the same
-    line and field as without the memo.  A record whose events fail
+    ``payloads`` holds the pairs already checked in this log.  A pair is
+    checked where it first occurs, so an error names the same line and
+    field as without the memo.  A record whose events fail
     :func:`_bulk_events` runs this once per event, so the field name is
     formatted only for an error.
     """
@@ -277,16 +286,16 @@ def _parse_event(obj: object, index: int, table: CharTable,
                if isinstance(k, str) and isinstance(p, str) else None)
     if checked is None:
         checked = payloads[k, p] = _event_payload(k, p, f"events[{index}]", table)
-    return KeyEvent(t, *checked)
+    return (t, *checked)
 
 
-def _parse_events(raw: list, table: CharTable, payloads: _Payloads) -> list[KeyEvent]:
+def _parse_events(raw: list, table: CharTable, payloads: _Payloads) -> _Columns:
     """A record's events, one at a time; the first bad event raises."""
-    return [_parse_event(e, i, table, payloads) for i, e in enumerate(raw)]
+    return tuple(zip(*[_parse_event(e, i, table, payloads)
+                       for i, e in enumerate(raw)]))
 
 
-def _bulk_events(raw: list, table: CharTable,
-                 payloads: _Payloads) -> list[KeyEvent] | None:
+def _bulk_events(raw: list, table: CharTable, payloads: _Payloads) -> _Columns | None:
     """A record's events, checked in passes over all of them; None if any fails.
 
     It makes the checks of :func:`_parse_event` without a Python call per
@@ -308,8 +317,8 @@ def _bulk_events(raw: list, table: CharTable,
             payloads[k, p] = _event_payload(k, p, "events", table)
     except (TypeError, ParseError):
         return None
-    kinds, texts = zip(*map(payloads.__getitem__, pairs))
-    return _checked_events(stamps, kinds, texts)
+    codes, texts = zip(*map(payloads.__getitem__, pairs))
+    return stamps, codes, texts
 
 
 def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> SessionRecord:
@@ -327,20 +336,21 @@ def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> Session
     raw_events = obj.get("events")
     if not isinstance(raw_events, list) or not raw_events:
         raise ParseError("expected a non-empty list", field="events")
-    events = (_bulk_events(raw_events, table, payloads)
-              or _parse_events(raw_events, table, payloads))
-    stamps = list(map(_T_MS, events))
+    stamps, codes, texts = (_bulk_events(raw_events, table, payloads)
+                            or _parse_events(raw_events, table, payloads))
     if not all(map(le, stamps, stamps[1:])):
         log.warning("session %s: events out of order, sorting by timestamp",
                     session_id)
-        events.sort(key=_T_MS)  # stable
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
+        stamps, codes, texts = ([column[i] for i in order]
+                                for column in (stamps, codes, texts))
     return SessionRecord(
         session_id=session_id,
         technique_id=technique_id,
         participant_id=participant_id,
         presented=presented,
         transcribed=transcribed,
-        events=tuple(events),
+        events=InputStream._from_columns(stamps, codes, texts),
         inf_override=inf_override,
     )
 
@@ -560,14 +570,34 @@ def _render(tables: dict[str, _Table], fmt: str) -> bytes:
             writer.writerows([_csv_cell(v) for v in r.values()] for r in rows)
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        payload = {name: [{k: round(v.value, 2) if isinstance(v, _Metric) else v
-                           for k, v in r.items()} for r in rows]
-                   for name, (_, rows) in tables.items()}
-        if len(payload) == 1:
-            payload, = payload.values()
-        return (json.dumps(payload, ensure_ascii=False, indent=2)
-                + "\n").encode("utf-8")
+        if len(tables) == 1:
+            (_, rows), = tables.values()
+            text = _json_rows(rows, 0)
+        else:
+            text = "{\n" + ",\n".join(
+                f"  {json.dumps(name, ensure_ascii=False)}: {_json_rows(rows, 1)}"
+                for name, (_, rows) in tables.items()) + "\n}"
+        return (text + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _json_rows(rows: Sequence[dict], depth: int) -> str:
+    """``rows`` as ``json.dumps(..., indent=2)`` writes them ``depth`` levels in.
+
+    Encoding the whole report in one call would hold a string for every
+    token of it at once, several times the report's size.  So each row,
+    a flat object of columns, is encoded on its own by the C encoder, its
+    indent carried in the item separator.
+    """
+    if not rows:
+        return "[]"
+    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    encode = json.JSONEncoder(ensure_ascii=False,
+                              separators=("," + inner, ": ")).encode
+    return "[" + outer + ("," + outer).join(
+        "{" + inner + encode({k: round(v.value, 2) if isinstance(v, _Metric) else v
+                              for k, v in r.items()})[1:-1] + outer + "}"
+        for r in rows) + "\n" + "  " * depth + "]"
 
 
 _SUMMARY_COLUMNS = ("technique", *METRIC_FIELDS, "n_sessions")

@@ -2,10 +2,16 @@
 
 The input stream is every key action the participant performed, in
 time order: text-producing keys (single characters or whole atomic
-units), backspaces, edit keys, and modifiers.  It is a plain
-``tuple[KeyEvent, ...]`` (:func:`build_input_stream`), and |IS| is its
+units), backspaces, edit keys, and modifiers.  It is an
+:class:`InputStream` (:func:`build_input_stream`), and |IS| is its
 ``len``: it counts all of them, which is what makes KSPC sensitive to
 correction effort.
+
+A study log holds about 90,000 events, and every one of them is read,
+so an input stream keeps its events as columns (the stamps, the kinds
+and the payloads) rather than as one object each, and builds a
+:class:`KeyEvent` only when one is asked for.  Timing and replay read
+the columns directly.
 
 Replay reconstructs the transcribed text from the events alone, which
 both validates a log and yields the erased material needed to split
@@ -25,12 +31,12 @@ whether a unit is declared, still run on every event.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
-from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .bengali import BENGALI_TABLE, CharTable, normalize, to_output_stream
 from .errors import (
@@ -44,6 +50,7 @@ from .msd import BackspaceGranularity, TechniqueProfile
 __all__ = [
     "KeyEventKind",
     "KeyEvent",
+    "InputStream",
     "ReplayResult",
     "build_input_stream",
     "session_duration_s",
@@ -76,27 +83,96 @@ class KeyEvent:
     payload: str = ""
 
     def __post_init__(self) -> None:
-        # One KeyEvent per logged event: a member skips the enum call.
         if type(self.kind) is not KeyEventKind:
             object.__setattr__(self, "kind", KeyEventKind(self.kind))
+        if not isinstance(self.t_ms, int) or isinstance(self.t_ms, bool):
+            raise ValueError(f"timestamp is not an integer: {self.t_ms!r}")
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
-        if self.kind in _TEXTLESS and self.payload:
-            raise ValueError(f"{self.kind.value} events carry no payload")
+        if self.kind in _TEXTLESS:
+            if self.payload:
+                raise ValueError(f"{self.kind.value} events carry no payload")
+        elif not self.payload:
+            raise ValueError(f"{self.kind.value} events carry a payload")
 
 
-def _checked_events(stamps: Sequence[int], kinds: Iterable[KeyEventKind],
-                    payloads: Iterable[str]) -> list[KeyEvent]:
-    """KeyEvents from fields that the caller has already checked.
+# A kind's code in an InputStream is its index here.
+_KINDS = tuple(KeyEventKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_CHAR, _UNIT, _BACKSPACE, _EDIT = (
+    _KIND_CODE[kind] for kind in (KeyEventKind.CHAR, KeyEventKind.UNIT,
+                                  KeyEventKind.BACKSPACE, KeyEventKind.EDIT))
 
-    Skips ``__post_init__``: each field is set through its slot, one
-    pass per field over all events, with no Python call per event.
+_T_MS = attrgetter("t_ms")
+
+
+def _event(t_ms: int, code: int, payload: str) -> KeyEvent:
+    """A KeyEvent from checked columns, without ``__post_init__``'s checks."""
+    event = object.__new__(KeyEvent)
+    object.__setattr__(event, "t_ms", t_ms)
+    object.__setattr__(event, "kind", _KINDS[code])
+    object.__setattr__(event, "payload", payload)
+    return event
+
+
+class InputStream(Sequence[KeyEvent]):
+    """Key events in time order, held as columns; indexing yields KeyEvents.
+
+    ``InputStream(events)`` orders ``events`` by timestamp with a stable
+    sort, so events that share a stamp keep their order.  The stamps are
+    an ``array('q')``, the kinds one byte each and the payloads a tuple
+    of strings, which ingest shares between the events of a log: about
+    17 bytes an event, where a KeyEvent, its boxed stamp and its place
+    in a tuple take about 96.  A :class:`KeyEvent` is built only when
+    one is asked for, the way iterating an OutputStream builds
+    BasicChars.  A stream is equal to, and hashes as, the tuple of its
+    KeyEvents.
     """
-    events = list(map(object.__new__, repeat(KeyEvent, len(stamps))))
-    for slot, values in ((KeyEvent.t_ms, stamps), (KeyEvent.kind, kinds),
-                         (KeyEvent.payload, payloads)):
-        deque(map(slot.__set__, events, values), 0)
-    return events
+
+    __slots__ = ("_stamps", "_kinds", "_payloads")
+
+    def __init__(self, events: Iterable[KeyEvent] = ()) -> None:
+        ordered = sorted(events, key=_T_MS)  # stable
+        self._stamps = array("q", map(_T_MS, ordered))
+        self._kinds = bytes(_KIND_CODE[e.kind] for e in ordered)
+        self._payloads = tuple(e.payload for e in ordered)
+
+    @classmethod
+    def _from_columns(cls, stamps: Iterable[int], codes: Iterable[int],
+                      payloads: Iterable[str]) -> InputStream:
+        """A stream of checked columns already in time order, checked no further."""
+        stream = object.__new__(cls)
+        stream._stamps = array("q", stamps)
+        stream._kinds = bytes(codes)
+        stream._payloads = tuple(payloads)
+        return stream
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __getitem__(self, index: int | slice) -> KeyEvent | InputStream:
+        if isinstance(index, slice):
+            return self._from_columns(self._stamps[index], self._kinds[index],
+                                      self._payloads[index])
+        return _event(self._stamps[index], self._kinds[index],
+                      self._payloads[index])
+
+    def __iter__(self) -> Iterator[KeyEvent]:
+        return map(_event, self._stamps, self._kinds, self._payloads)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is InputStream:
+            return (self._stamps == other._stamps and self._kinds == other._kinds
+                    and self._payloads == other._payloads)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"InputStream({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -107,22 +183,20 @@ class ReplayResult:
     erased: tuple[str, ...]
 
 
-_T_MS = attrgetter("t_ms")
+def _stream(events: Iterable[KeyEvent]) -> InputStream:
+    return events if type(events) is InputStream else InputStream(events)
 
 
-def _in_time_order(events: Iterable[KeyEvent]) -> list[KeyEvent]:
-    # stable, so equal stamps keep log order
-    return sorted(events, key=_T_MS)
+def build_input_stream(events: Iterable[KeyEvent]) -> InputStream:
+    """The input stream: ``events`` in timestamp order.
 
-
-def build_input_stream(events: Iterable[KeyEvent]) -> tuple[KeyEvent, ...]:
-    """The input stream: ``events`` as a tuple in timestamp order.
-
-    |IS| is the tuple's ``len``.  The sort is stable: events sharing a
-    timestamp keep their log order.  Raises :class:`EmptySessionError`
-    for an empty sequence.
+    |IS| is the stream's ``len``.  The sort is stable: events sharing a
+    timestamp keep their log order.  An :class:`InputStream`, as
+    ingest stores a record's events, is already the stream and is
+    returned as it is.  Raises :class:`EmptySessionError` for an empty
+    sequence.
     """
-    stream = tuple(_in_time_order(events))
+    stream = _stream(events)
     if not stream:
         raise EmptySessionError("session has no keystroke events")
     return stream
@@ -131,11 +205,13 @@ def build_input_stream(events: Iterable[KeyEvent]) -> tuple[KeyEvent, ...]:
 def session_duration_s(stream: Iterable[KeyEvent]) -> float:
     """Elapsed seconds from the first to the last event of an input stream.
 
-    ``stream`` is the tuple :func:`build_input_stream` returns, but the
-    span is taken between the earliest and the latest stamp, so events
-    in any order give the same seconds.  One event gives 0.0.
+    ``stream`` is what :func:`build_input_stream` returns (an
+    :class:`InputStream`'s stamps are read directly), but the span is
+    taken between the earliest and the latest stamp, so events in any
+    order give the same seconds.  One event gives 0.0.
     """
-    stamps = [e.t_ms for e in stream]
+    stamps = (stream._stamps if type(stream) is InputStream
+              else [e.t_ms for e in stream])
     if not stamps:
         raise EmptySessionError("session has no keystroke events")
     return (max(stamps) - min(stamps)) / 1000.0
@@ -146,8 +222,9 @@ def replay_events(events: Iterable[KeyEvent],
     """Replay keystrokes into canonical text, tracking erased material.
 
     ``events`` are replayed in timestamp order, whatever their container:
-    a stable sort keeps equal stamps in log order.  Character events
-    append their constituent characters one atom each; unit events
+    a stable sort keeps equal stamps in log order, and an
+    :class:`InputStream` is read as it is, column by column.  Character
+    events append their constituent characters one atom each; unit events
     append one whole-unit atom when the profile erases at unit
     granularity, else per-character atoms.  Backspace pops the most
     recent atom.  Modifiers produce nothing.  Edit events raise
@@ -172,31 +249,31 @@ def replay_events(events: Iterable[KeyEvent],
         per_unit = profile.backspace_granularity is BackspaceGranularity.UNIT
     flat = table._replay_memo
 
+    stream = _stream(events)
     atoms: list[str] = []
     erased: list[str] = []
-    for ev in _in_time_order(events):
-        kind = ev.kind
-        if kind is KeyEventKind.CHAR or kind is KeyEventKind.UNIT:
-            chars = flat.get(ev.payload)
+    for t_ms, code, payload in zip(stream._stamps, stream._kinds, stream._payloads):
+        if code == _CHAR or code == _UNIT:
+            chars = flat.get(payload)
             if chars is None:
-                chars = flat[ev.payload] = to_output_stream(ev.payload, table).text
-            if kind is KeyEventKind.CHAR:
+                chars = flat[payload] = to_output_stream(payload, table).text
+            if code == _CHAR:
                 atoms.extend(chars)
             elif profile is not None and chars not in profile.unit_seqs:
                 raise UnknownUnitError(
-                    f"unit payload {ev.payload!r} not declared by the profile")
+                    f"unit payload {payload!r} not declared by the profile")
             elif per_unit:
                 atoms.append(chars)
             else:
                 atoms.extend(chars)
-        elif kind is KeyEventKind.BACKSPACE:
+        elif code == _BACKSPACE:
             if not atoms:
                 raise ReplayUnderflowError(
-                    f"backspace at t={ev.t_ms}ms with nothing to erase")
+                    f"backspace at t={t_ms}ms with nothing to erase")
             erased.append(atoms.pop())
-        elif kind is KeyEventKind.EDIT:
+        elif code == _EDIT:
             raise UnsupportedKeyError(
-                f"edit event at t={ev.t_ms}ms: cursor movement is not replayable")
+                f"edit event at t={t_ms}ms: cursor movement is not replayable")
         # modifiers produce no text
     return ReplayResult(normalize("".join(atoms), table), tuple(erased))
 

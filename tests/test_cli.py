@@ -652,7 +652,7 @@ class TestOut:
 
 
 class TestCollectorState:
-    """Log commands pause and freeze the collector; main restores both."""
+    """A log command leaves the collector enabled or not, and frozen or not."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("log, code", [

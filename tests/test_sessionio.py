@@ -538,6 +538,30 @@ class TestLineCuts:
         assert peak - retained < 0.25 * len(data)
 
 
+class TestParsedEventsHeld:
+    """A parsed record keeps its events as columns, not one object each."""
+
+    def test_bytes_held_per_event(self):
+        keys = [("char", "ক"), ("char", "া"), ("unit", "ক্ষ"), ("bksp", ""),
+                ("mod", "")] * 20
+        data = log_bytes(*(
+            dict(sidebar_log_obj(f"s{n}", f"p{n}"),
+                 events=[{"t": 150 * i, "k": k, "p": p}
+                         for i, (k, p) in enumerate(keys)])
+            for n in range(250)))
+        tracemalloc.start()
+        try:
+            records = ab.parse_session_log(data)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        events = sum(len(r.events) for r in records)
+        assert events == 25_000
+        # 25 bytes an event on Python 3.11, records and texts included; a
+        # KeyEvent object per event, with its boxed stamp, held 99.
+        assert held / events < 38
+
+
 class TestParseTechniqueProfile:
     def test_full_profile(self):
         p = ab.parse_technique_profile(profile_bytes())
@@ -801,6 +825,33 @@ class TestWriteReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             write_analysis_report([summary()], None, "xml")
+
+
+# Report cells: texts (controls, quotes and non-ASCII included), numbers and
+# metrics; a row is a non-empty object of them, as every report's rows are.
+CELLS = (st.text() | st.integers(-10 ** 20, 10 ** 20) | st.floats() | st.booleans()
+         | st.none() | st.floats().map(lambda v: sessionio._Metric("er_bn", v)))
+TABLES = st.dictionaries(
+    st.text(min_size=1),
+    st.lists(st.dictionaries(st.text(), CELLS, min_size=1, max_size=4), max_size=3),
+    min_size=1, max_size=3)
+
+
+class TestJsonRendering:
+    """Rows encoded one at a time give the bytes of one indented dump."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TABLES)
+    def test_same_bytes_as_one_dump(self, tables):
+        payload = {name: [{k: round(v.value, 2) if isinstance(v, sessionio._Metric)
+                           else v for k, v in r.items()} for r in rows]
+                   for name, rows in tables.items()}
+        if len(payload) == 1:
+            payload, = payload.values()
+        expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        rendered = sessionio._render(
+            {name: ((), rows) for name, rows in tables.items()}, "json")
+        assert rendered == expected.encode("utf-8")
 
 
 class TestOtherWriters:

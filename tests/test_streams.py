@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import logging
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abugida as ab
 
@@ -32,6 +37,17 @@ class TestKeyEvent:
         # Not a kind: it would count toward |IS| and replay as a modifier.
         with pytest.raises(ValueError):
             ev(0, 5, "x")
+
+    @pytest.mark.parametrize("t", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_timestamp_rejected(self, t):
+        # The log parser refuses the same stamps.
+        with pytest.raises(ValueError, match="timestamp is not an integer"):
+            ev(t, "char", "ক")
+
+    @pytest.mark.parametrize("kind", ["char", "unit"])
+    def test_text_kinds_reject_an_empty_payload(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} events carry a payload"):
+            ev(0, kind, "")
 
 
 class TestBuildInputStream:
@@ -164,10 +180,77 @@ class TestReplay:
         events = [ev(50, "char", "ই"), ev(40, "bksp"), ev(0, "char", "ব"),
                   ev(30, "char", "া")]
         containers = (events, tuple(events), ab.build_input_stream(events),
-                      iter(events))
+                      iter(events), ab.InputStream(events))
         for container in containers:
             result = ab.replay_events(container)
             assert (result.text, result.erased) == ("বই", ("া",))
+
+
+# Every kind, with payloads that flatten to one, two or three atoms.
+EVENTS = st.lists(st.builds(
+    lambda t, kind_payload: ab.KeyEvent(t, *kind_payload), st.integers(0, 12),
+    st.sampled_from([("char", "ক"), ("char", "া"), ("char", " "),
+                     ("char", "ক্ষ"), ("unit", "ক্ষ"), ("unit", "র্য"),
+                     ("bksp", ""), ("edit", ""), ("mod", "")])),
+    min_size=1, max_size=12)
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except ab.AbugidaError as err:
+        return type(err), str(err)
+
+
+class TestInputStream:
+    """A parsed record's columns stand in for the tuple of its KeyEvents."""
+
+    def test_columns_build_events_on_demand(self):
+        events = [ev(30, "char", "ই"), ev(0, "unit", "ক্ষ"), ev(30, "bksp")]
+        stream = ab.InputStream(events)
+        ordered = (events[1], events[0], events[2])
+        assert tuple(stream) == ordered
+        assert (len(stream), stream[0], stream[-1]) == (3, events[1], events[2])
+        assert stream[1:] == ordered[1:] and type(stream[1:]) is ab.InputStream
+        assert stream == ordered and ordered == stream and stream != list(ordered)
+        assert hash(stream) == hash(ordered)
+        assert ab.build_input_stream(stream) is stream
+        with pytest.raises(IndexError):
+            stream[3]
+
+    def test_empty_stream_has_no_duration(self):
+        with pytest.raises(ab.EmptySessionError):
+            ab.session_duration_s(ab.InputStream())
+
+    @settings(max_examples=300, deadline=None)
+    @given(EVENTS, st.sampled_from(["basic", "unit"]), st.booleans())
+    def test_parsed_columns_act_as_the_tuple(self, events, granularity, same):
+        profile = ab.TechniqueProfile("t", frozenset({"ক্ষ"}),
+                                      backspace_granularity=granularity)
+        replayed = outcome(ab.replay_events, events, profile)
+        text = replayed.text if isinstance(replayed, ab.ReplayResult) else "ক"
+        # A presented text that differs from the transcription makes the
+        # views align; an empty transcription raises in both.
+        record = ab.SessionRecord("s", "t", "p", text if same else text + "ক",
+                                  text, tuple(events))
+        logging.disable(logging.WARNING)  # out-of-order events are sorted
+        try:
+            parsed, = ab.parse_session_log(ab.write_session_log([record]))
+        finally:
+            logging.disable(logging.NOTSET)
+        columns = parsed.events
+        assert type(columns) is ab.InputStream
+        ordered = tuple(sorted(events, key=lambda e: e.t_ms))  # stable
+        assert tuple(columns) == ordered and columns == ordered
+        assert parsed == dataclasses.replace(record, events=ordered)
+        assert hash(parsed) == hash(dataclasses.replace(record, events=ordered))
+        for function, args in (
+                (ab.build_input_stream, ()), (ab.session_duration_s, ()),
+                (ab.replay_events, ()), (ab.replay_events, (profile,))):
+            assert (outcome(function, columns, *args)
+                    == outcome(function, record.events, *args))
+        for view in (ab.analyze_session, ab.naive_metrics):
+            assert outcome(view, parsed, profile) == outcome(view, record, profile)
 
 
 # A payload whose output-stream text differs by table: the built-in table
