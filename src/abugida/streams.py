@@ -72,6 +72,7 @@ class KeyEventKind(str, Enum):
 
 
 _TEXTLESS = (KeyEventKind.BACKSPACE, KeyEventKind.EDIT, KeyEventKind.MODIFIER)
+_MAX_STAMP = 2 ** 53  # the log format's bound; every stamp fits an array('q')
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +90,10 @@ class KeyEvent:
             raise ValueError(f"timestamp is not an integer: {self.t_ms!r}")
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
+        if self.t_ms > _MAX_STAMP:
+            raise ValueError(f"timestamp must not exceed 2**53: {self.t_ms}")
+        if not isinstance(self.payload, str):
+            raise ValueError(f"payload is not a string: {self.payload!r}")
         if self.kind in _TEXTLESS:
             if self.payload:
                 raise ValueError(f"{self.kind.value} events carry no payload")
@@ -150,10 +155,10 @@ class InputStream(Sequence[KeyEvent]):
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def __getitem__(self, index: int | slice) -> KeyEvent | InputStream:
-        if isinstance(index, slice):
-            return self._from_columns(self._stamps[index], self._kinds[index],
-                                      self._payloads[index])
+    def __getitem__(self, index: int | slice) -> KeyEvent | tuple[KeyEvent, ...]:
+        if isinstance(index, slice):  # a tuple: a slice may reverse the order
+            return tuple(map(_event, self._stamps[index], self._kinds[index],
+                             self._payloads[index]))
         return _event(self._stamps[index], self._kinds[index],
                       self._payloads[index])
 
@@ -210,8 +215,7 @@ def session_duration_s(stream: Iterable[KeyEvent]) -> float:
     taken between the earliest and the latest stamp, so events in any
     order give the same seconds.  One event gives 0.0.
     """
-    stamps = (stream._stamps if type(stream) is InputStream
-              else [e.t_ms for e in stream])
+    stamps = _stream(stream)._stamps
     if not stamps:
         raise EmptySessionError("session has no keystroke events")
     return (max(stamps) - min(stamps)) / 1000.0

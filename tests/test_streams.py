@@ -44,6 +44,19 @@ class TestKeyEvent:
         with pytest.raises(ValueError, match="timestamp is not an integer"):
             ev(t, "char", "ক")
 
+    @pytest.mark.parametrize("t", [2 ** 53 + 1, 2 ** 63])
+    def test_timestamp_above_the_log_bound_rejected(self, t):
+        # Ingest refuses the same stamps; below the bound each fits array('q').
+        with pytest.raises(ValueError, match=r"must not exceed 2\*\*53"):
+            ev(t, "char", "ক")
+        assert ab.session_duration_s([ev(0, "char", "ক"), ev(2 ** 53, "bksp")]) \
+            == 2 ** 53 / 1000.0
+
+    @pytest.mark.parametrize("payload", [5, None, b"k"])
+    def test_non_string_payload_rejected(self, payload):
+        with pytest.raises(ValueError, match="payload is not a string"):
+            ev(0, "char", payload)
+
     @pytest.mark.parametrize("kind", ["char", "unit"])
     def test_text_kinds_reject_an_empty_payload(self, kind):
         with pytest.raises(ValueError, match=f"{kind} events carry a payload"):
@@ -211,12 +224,22 @@ class TestInputStream:
         ordered = (events[1], events[0], events[2])
         assert tuple(stream) == ordered
         assert (len(stream), stream[0], stream[-1]) == (3, events[1], events[2])
-        assert stream[1:] == ordered[1:] and type(stream[1:]) is ab.InputStream
+        assert stream[1:] == ordered[1:] and type(stream[1:]) is tuple
         assert stream == ordered and ordered == stream and stream != list(ordered)
         assert hash(stream) == hash(ordered)
         assert ab.build_input_stream(stream) is stream
         with pytest.raises(IndexError):
             stream[3]
+
+    def test_a_reversed_slice_is_replayed_in_time_order(self):
+        # A slice is a tuple, so a stream never holds columns out of order.
+        events = [ev(0, "char", "ক"), ev(10, "char", "ই"), ev(20, "bksp"),
+                  ev(30, "char", "া")]
+        stream = ab.build_input_stream(events)
+        backwards = stream[::-1]
+        assert backwards == tuple(reversed(events)) and type(backwards) is tuple
+        assert ab.replay_events(backwards) == ab.replay_events(stream)
+        assert ab.build_input_stream(backwards) == stream
 
     def test_empty_stream_has_no_duration(self):
         with pytest.raises(ab.EmptySessionError):
