@@ -9,12 +9,15 @@ cost 1.  A normalized mode prices every unit operation at a flat 1.0
 for sensitivity comparisons.
 
 Unit operations only apply where the greedy leftmost-longest
-segmentation (:func:`atomic_unit_segment`) actually finds a declared
-unit, so the dynamic program stays a standard weighted alignment with a
-few extra transitions.  Its costs are integers, in units of 1/L (L is
-the least common multiple of the unit lengths), so ties are exact; they
-are broken deterministically: match over substitute over delete over
-insert, and basic-character transitions over unit transitions.
+segmentation finds a declared unit, so the dynamic program stays a
+standard weighted alignment with a few extra transitions.  The
+segmentation is one compiled pattern per unit set, searched over the
+stream's text (its symbols are single codepoints): ``unit_seqs`` come
+longest first, so the first alternative to match at a position is its
+longest unit.  Costs are integers, in units of 1/L (L is the least
+common multiple of the unit lengths), so ties are exact; they are broken
+deterministically: match over substitute over delete over insert, and
+basic-character transitions over unit transitions.
 
 A :class:`TechniqueProfile` carries the classification table it was
 built under and flattens its units under it once, when it is built;
@@ -40,7 +43,9 @@ distance, computed with bit vectors (Myers 1999; Hyyrö 2001).
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Mapping, Sequence
@@ -174,28 +179,24 @@ class AlignmentResult:
     inf: int
 
 
+@functools.lru_cache
+def _unit_pattern(unit_seqs: tuple[Sequence[str], ...]) -> re.Pattern[str]:
+    """The units as one alternation, escaped, in the order given."""
+    return re.compile("|".join(re.escape("".join(seq)) for seq in unit_seqs))
+
+
 def _greedy_unit_ends(symbols: Sequence[str],
                       unit_seqs: Sequence[Sequence[str]]) -> dict[int, int]:
     """Greedy leftmost-longest pass; maps segment end index to unit length.
 
-    ``unit_seqs`` come longest first; only the units that start with the
-    symbol at hand are tried, in that order.
+    Symbols are single codepoints, so their indices are those of their
+    joined text.  ``unit_seqs`` come longest first, and the pattern tries
+    its alternatives in that order, so the first to match is the longest.
     """
-    by_first: dict[str, list[Sequence[str]]] = {}
-    for seq in unit_seqs:
-        by_first.setdefault(seq[0], []).append(seq)
-    ends: dict[int, int] = {}
-    i, n = 0, len(symbols)
-    while i < n:
-        for seq in by_first.get(symbols[i], ()):
-            k = len(seq)
-            if symbols[i:i + k] == seq:
-                ends[i + k] = k
-                i += k
-                break
-        else:
-            i += 1
-    return ends
+    if not unit_seqs:
+        return {}
+    matches = _unit_pattern(tuple(unit_seqs)).finditer("".join(symbols))
+    return {end: end - start for start, end in map(re.Match.span, matches)}
 
 
 def atomic_unit_segment(stream: OutputStream,
@@ -212,13 +213,9 @@ def atomic_unit_segment(stream: OutputStream,
     segments: list[Segment] = []
     i = 0
     while i < len(symbols):
-        end = starts.get(i)
-        if end is not None:
-            segments.append(Segment(i, end, symbols[i:end], True))
-            i = end
-        else:
-            segments.append(Segment(i, i + 1, symbols[i], False))
-            i += 1
+        end = starts.get(i, i + 1)
+        segments.append(Segment(i, end, symbols[i:end], i in starts))
+        i = end
     return segments
 
 

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .metrics import METRIC_FIELDS, RATE_FIELDS, SessionIntermediates
 from .msd import BackspaceGranularity, TechniqueProfile
-from .streams import _KIND_CODE, InputStream, KeyEvent, KeyEventKind
+from .streams import _KIND_CODE, _MAX_COUNT, InputStream, KeyEvent, KeyEventKind
 
 if TYPE_CHECKING:
     from .metrics import SessionMetrics, TechniqueSummary
@@ -220,9 +220,6 @@ def _no_lone_surrogate(value: str, field: str) -> str:
         raise ParseError(f"lone surrogate U+{ord(lone.group()):04X} at index "
                          f"{lone.start()}", field=field)
     return value
-
-
-_MAX_COUNT = 2 ** 53  # every t and inf_override up to it is exact as a float
 
 
 def _is_count(value: object) -> bool:

@@ -72,7 +72,7 @@ class KeyEventKind(str, Enum):
 
 
 _TEXTLESS = (KeyEventKind.BACKSPACE, KeyEventKind.EDIT, KeyEventKind.MODIFIER)
-_MAX_STAMP = 2 ** 53  # the log format's bound; every stamp fits an array('q')
+_MAX_COUNT = 2 ** 53  # the log's bound on t and inf_override: exact as a float
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +90,7 @@ class KeyEvent:
             raise ValueError(f"timestamp is not an integer: {self.t_ms!r}")
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
-        if self.t_ms > _MAX_STAMP:
+        if self.t_ms > _MAX_COUNT:
             raise ValueError(f"timestamp must not exceed 2**53: {self.t_ms}")
         if not isinstance(self.payload, str):
             raise ValueError(f"payload is not a string: {self.payload!r}")

@@ -130,10 +130,13 @@ def assert_matches_oracle(a: str, b: str, profile=None) -> None:
     assert_aligns_exactly(sa, sb, unit_ends(a, profile), unit_ends(b, profile))
 
 
-LATIN_UNITS = ("ab", "cde", "abc", "dd", "eabcd")
+# The last four hold regular expression metacharacters, which the unit
+# search must take literally.
+LATIN_UNITS = ("ab", "cde", "abc", "dd", "eabcd", "a.", "(b", "c|d", "\\e")
 latin_profile = st.sets(st.sampled_from(LATIN_UNITS), min_size=1).map(
     lambda units: ab.TechniqueProfile("latin", frozenset(units)))
-latin_piece = st.sampled_from(("a", "b", "c", "d", "e") + LATIN_UNITS)
+latin_piece = st.sampled_from(("a", "b", "c", "d", "e", ".", "(", "|", "\\")
+                              + LATIN_UNITS)
 latin_text = st.lists(latin_piece, max_size=14).map("".join)
 
 

@@ -12,13 +12,14 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
-from abugida.msd import align_symbols
+from abugida.msd import _greedy_unit_ends, align_symbols
 
 
 def stream(text: str) -> ab.OutputStream:
@@ -285,6 +286,64 @@ class TestInf:
         assert result.inf == 4
 
 
+def scan_unit_ends(symbols, unit_seqs) -> dict[int, int]:
+    """The hand-written greedy scan that the compiled pattern replaced.
+
+    Only the units that start with the symbol at hand are tried, in the
+    order given; the first that matches is taken and the scan resumes
+    after it, else it moves on one symbol.
+    """
+    by_first: dict[str, list] = {}
+    for seq in unit_seqs:
+        by_first.setdefault(seq[0], []).append(seq)
+    ends: dict[int, int] = {}
+    i, n = 0, len(symbols)
+    while i < n:
+        for seq in by_first.get(symbols[i], ()):
+            k = len(seq)
+            if symbols[i:i + k] == seq:
+                ends[i + k] = k
+                i += k
+                break
+        else:
+            i += 1
+    return ends
+
+
+def profile_order(units) -> tuple[str, ...]:
+    """Distinct units as ``TechniqueProfile.unit_seqs`` orders them."""
+    return tuple(sorted(set(units), key=lambda s: (-len(s), s)))
+
+
+# Every regular expression metacharacter, and two plain letters.
+SEGMENT_ALPHABET = "ab.*+?()[]|\\^$"
+segment_unit = st.text(st.sampled_from(SEGMENT_ALPHABET), min_size=2, max_size=5)
+
+
+@st.composite
+def units_and_text(draw, units=None):
+    """A unit set (with prefixes, suffixes and overlaps) and a text of its pieces."""
+    if units is None:
+        found = draw(st.lists(segment_unit, max_size=4))
+        for unit in draw(st.lists(segment_unit.filter(lambda u: len(u) >= 3),
+                                  max_size=2)):
+            cut = draw(st.integers(2, len(unit) - 1))
+            found += [unit, unit[:cut], unit[-cut:]]  # they overlap if 2·cut > len
+        units = profile_order(found)
+        singles = SEGMENT_ALPHABET
+    else:
+        singles = [chr(cp) for cp in range(0x0980, 0x0A00)]
+    piece = st.sampled_from(singles)
+    if units:
+        piece |= st.sampled_from(units)
+    return units, "".join(draw(st.lists(piece, max_size=16)))
+
+
+GOLDEN_PROFILES = [
+    ab.parse_technique_profile(path.read_bytes())
+    for path in sorted((Path(__file__).parent / "golden" / "profiles").glob("*.json"))]
+
+
 class TestSegmentation:
     def test_unit_then_char(self, sidebar_profile):
         segments = ab.atomic_unit_segment(stream("ক্ষগ"), sidebar_profile)
@@ -311,6 +370,31 @@ class TestSegmentation:
     def test_concatenation_invariant(self, text):
         segments = ab.atomic_unit_segment(stream(text), UNIT_PROFILE)
         assert "".join(s.text for s in segments) == text
+
+    @staticmethod
+    def assert_segments_as_scanned(text: str, profile: ab.TechniqueProfile) -> None:
+        ends = scan_unit_ends(text, profile.unit_seqs)
+        assert _greedy_unit_ends(text, profile.unit_seqs) == ends
+        as_tuples = tuple(map(tuple, profile.unit_seqs))  # as criterion 4 calls it
+        assert _greedy_unit_ends(tuple(text), as_tuples) == ends
+        segments = ab.atomic_unit_segment(stream(text), profile)
+        assert "".join(s.text for s in segments) == text
+        assert {s.end: s.end - s.start for s in segments if s.is_unit} == ends
+        assert all(s.end - s.start == 1 for s in segments if not s.is_unit)
+
+    @given(units_and_text())
+    def test_pattern_matches_the_scan(self, drawn):
+        units, text = drawn
+        profile = ab.TechniqueProfile("t", frozenset(units))
+        assert profile.unit_seqs == units  # metacharacters flatten to themselves
+        self.assert_segments_as_scanned(text, profile)
+
+    @pytest.mark.parametrize("profile", GOLDEN_PROFILES,
+                             ids=lambda p: p.technique_id)
+    @given(data=st.data())
+    def test_pattern_matches_the_scan_on_bengali(self, profile, data):
+        _, text = data.draw(units_and_text(profile.unit_seqs))
+        self.assert_segments_as_scanned(stream(text).text, profile)
 
 
 class TestAlignSymbols:
