@@ -243,70 +243,89 @@ def finite_positive(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abugida",
-        description="Text-entry performance metrics for Bengali session logs.")
-    sub = parser.add_subparsers(metavar="command", required=True)
+def _study_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("log", help="JSON Lines session log")
+    p.add_argument("--profiles", required=True, metavar="PATH",
+                   help="technique profile JSON file or directory of them")
 
-    def add_study_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("log", help="JSON Lines session log")
-        p.add_argument("--profiles", required=True, metavar="PATH",
-                       help="technique profile JSON file or directory of them")
 
-    def add_evaluation_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--word-length", type=finite_positive,
-                       default=DEFAULT_WORD_LENGTH_CHARS, metavar="CHARS",
-                       help="average word length in constituent characters "
-                            f"(default {DEFAULT_WORD_LENGTH_CHARS})")
-
-    p = sub.add_parser("analyze", help="compute per-technique metrics from a log")
-    add_study_args(p)
+def _per_session_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-session", action="store_true",
                    help="also emit one row per session")
-    add_evaluation_flags(p)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("decompose",
-                       help="show a text's constituent characters")
+
+def _evaluation_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="accepted for compatibility; has no effect")
+    p.add_argument("--word-length", type=finite_positive,
+                   default=DEFAULT_WORD_LENGTH_CHARS, metavar="CHARS",
+                   help="average word length in constituent characters "
+                        f"(default {DEFAULT_WORD_LENGTH_CHARS})")
+
+
+def _cost_mode_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--msd-cost-mode", choices=("paper", "normalized"),
+                   default="paper",
+                   help="unit operation pricing (default paper: 1/n)")
+
+
+def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("text")
     p.add_argument("--graphemes", action="store_true",
                    help="show grapheme clusters instead")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("msd", help="minimum string distance between two texts")
+
+def _msd_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("phrase_a", metavar="A")
     p.add_argument("phrase_b", metavar="B")
     p.add_argument("--profile", metavar="FILE",
                    help="technique profile enabling whole-unit operations")
-    p.set_defaults(func=_cmd_msd)
 
-    p = sub.add_parser("corpus-stats",
-                       help="word-length statistics of a phrase set")
+
+def _corpus_stats_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("phrases", help="phrase set file, one phrase per line")
-    p.set_defaults(func=_cmd_corpus_stats)
 
-    p = sub.add_parser("compare-naive",
-                       help="constituent-based vs grapheme-cluster metrics")
-    add_study_args(p)
-    add_evaluation_flags(p)
-    p.set_defaults(func=_cmd_compare_naive)
 
-    p = sub.add_parser("validate-log",
-                       help="replay each session and check the transcription")
-    add_study_args(p)
-    p.set_defaults(func=_cmd_validate_log)
+# Each subcommand: its help line, its function and what adds its arguments,
+# in the order that its help lists them.  Every one also takes --out.
+_COMMANDS = {
+    "analyze": ("compute per-technique metrics from a log", _cmd_analyze,
+                (_study_args, _per_session_flag, _evaluation_flags,
+                 _cost_mode_flag)),
+    "decompose": ("show a text's constituent characters", _cmd_decompose,
+                  (_decompose_args,)),
+    "msd": ("minimum string distance between two texts", _cmd_msd,
+            (_msd_args, _cost_mode_flag)),
+    "corpus-stats": ("word-length statistics of a phrase set",
+                     _cmd_corpus_stats, (_corpus_stats_args,)),
+    "compare-naive": ("constituent-based vs grapheme-cluster metrics",
+                      _cmd_compare_naive,
+                      (_study_args, _evaluation_flags, _cost_mode_flag)),
+    "validate-log": ("replay each session and check the transcription",
+                     _cmd_validate_log, (_study_args,)),
+}
 
-    for name in ("analyze", "msd", "compare-naive"):
-        sub.choices[name].add_argument(
-            "--msd-cost-mode", choices=("paper", "normalized"), default="paper",
-            help="unit operation pricing (default paper: 1/n)")
-    for p in sub.choices.values():  # main writes every command's output
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand or only ``command``.
+
+    A parser with one subcommand parses that command's arguments, and
+    reports their errors and help, exactly as the full one does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="abugida",
+        description="Text-entry performance metrics for Bengali session logs.")
+    sub = parser.add_subparsers(metavar="command", required=True)
+    for name, (help_line, func, adders) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
+        for add in adders:
+            add(p)
         p.add_argument("--out", metavar="FILE",
                        help="write output here instead of stdout")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -326,7 +345,11 @@ def _refuse_input_as_out(args: argparse.Namespace) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A run builds only the parser of the command it names.  Anything else
+    # (help, an unknown command, nothing) needs them all, to list them.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     created = False
     try:
         # "ab" fails at once on a bad path and keeps an existing file as it

@@ -26,8 +26,9 @@ table.
 
 :func:`align_symbols` gives the exact full table's distance, INF and
 script but fills only a band of diagonals around the optimal path
-(Ukkonen 1985), sized from a first, narrow pass's cost and from the
-longest unit's edit, the cheapest step per diagonal.  It keeps the last
+(Ukkonen 1985), in one pass.  The band keeps every diagonal whose lower
+bound, with each unit end used at most once, is within the unit-free
+bit-vector distance, an upper bound on the cost.  It keeps the last
 k + 1 rows (k is the longest unit), carries INF along each cell's
 argmin, and stores the band's backpointers only when ``script=True``;
 the metrics ask for ``script=False``.  Time grows with length times
@@ -43,6 +44,7 @@ distance, computed with bit vectors (Myers 1999; Hyyrö 2001).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -226,8 +228,6 @@ _MATCH = (EditOpKind.MATCH, 1, 1, 0.0)
 _SUBSTITUTE = (EditOpKind.SUBSTITUTE, 1, 1, 1.0)
 _DELETE = (EditOpKind.DELETE, 1, 0, 1.0)
 _INSERT = (EditOpKind.INSERT, 0, 1, 1.0)
-# The first pass keeps this many diagonals on each side of [0, n - m].
-_NARROW = 4
 
 _Op = tuple[EditOpKind, int, int, float]
 
@@ -375,6 +375,49 @@ def _bit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return score
 
 
+def _cover(x: int, prices: Sequence[tuple[int, int]], basic: int) -> int:
+    """The least price of x diagonals.
+
+    ``prices`` holds (price per diagonal, diagonals it can fill), cheapest
+    first; ``basic`` prices each diagonal after those.
+    """
+    total = 0
+    for price, room in prices:
+        if x <= room:
+            return total + x * price
+        total += room * price
+        x -= room
+    return total + x * basic
+
+
+def _band(m: int, n: int, ua: Mapping[int, int], ub: Mapping[int, int],
+          step: int, edit_w: Mapping[int, int], upper: int) -> tuple[int, int]:
+    """The diagonals lo <= d <= hi with LB(d) <= ``upper``·L (see align_symbols).
+
+    Prices are scaled by L = ``step``, so a unit of length k prices each of
+    its k diagonals at the whole number w_k·(L / k), and a basic step at L².
+    """
+    def prices(units: Mapping[int, int]) -> list[tuple[int, int]]:
+        counts = collections.Counter(units.values())
+        return sorted((edit_w[k] * (step // k), k * count)
+                      for k, count in counts.items())
+
+    up, down, basic = prices(ub), prices(ua), step * step
+    budget = upper * basic
+    delta = n - m
+
+    def bound(d: int) -> int:
+        return (_cover(max(0, d) + max(0, delta - d), up, basic)
+                + _cover(max(0, -d) + max(0, d - delta), down, basic))
+
+    lo, hi = min(0, delta), max(0, delta)
+    while hi < n and bound(hi + 1) <= budget:
+        hi += 1
+    while lo > -m and bound(lo - 1) <= budget:
+        lo -= 1
+    return lo, hi
+
+
 def align_symbols(a: Sequence[str],
                   b: Sequence[str],
                   units_a: Mapping[int, int] | None = None,
@@ -398,18 +441,41 @@ def align_symbols(a: Sequence[str],
     The distance is D / L, and distance, INF and script are the exact full
     (m+1)×(n+1) table's, ties included.
 
-    Only a band of diagonals d = j - i is computed (Ukkonen 1985).  Per
-    diagonal moved, a basic step costs L and a unit edit of length k' costs
-    w_k' / k': L/k'² (``paper``) or L/k' (``normalized``).  A substitution
-    of lengths ka ≠ kb moves |ka − kb| < max(ka, kb) diagonals for the
-    longer unit's edit, dearer per diagonal than that edit.  So the longest
-    unit k's edit, w_k / k (L without units), is the cheapest, and a path
-    through d costs at least (w_k / k)·(|d| + |d − δ|), δ = n − m.  A
-    first pass in [min(0, δ) − 4, max(0, δ) + 4] costs D, and a second
-    keeps every d with |d| + |d − δ| <= D·k // w_k: every optimal or tied
-    path lies there, with the full table's value and argmin in each of its
-    cells.  INF, the width of every non-match step, is carried along the
-    argmins.
+    Only the band of diagonals d = j − i with LB(d) <= U·L is computed
+    (Ukkonen 1985), δ = n − m:
+
+    * *Upper bound.*  U, the unit-free distance of :func:`_bit_distance`,
+      prices a path of basic steps, L each; unit steps only add paths, so
+      D <= U·L.
+    * *Lower bound.*  A step that moves up t > 0 diagonals is a basic
+      insert (t = 1, cost L), a unit insert ending at b's unit end j
+      (t = kb, cost w_kb) or a unit substitution (t = kb − ka < kb, cost
+      w_kb), so it spends at least w_kb / kb per diagonal, and a unit step
+      enters each of b's unit ends at most once, since j grows along a
+      path.  So steps that move up x diagonals in all cost at least
+      cover(x, b's units): each unit end of length k fills at most k
+      diagonals at w_k / k, cheapest first, and basic steps at L fill the
+      rest.  Steps that move down are priced the same way with a's unit
+      ends.  A path from diagonal 0 to δ through a cell on d moves up at
+      least pos(d) = max(0, d) + max(0, δ − d) diagonals and down at least
+      neg(d) = max(0, −d) + max(0, d − δ), so its cost, forward to that
+      cell plus backward from it, is at least LB(d) = cover(pos(d), b's
+      units) + cover(neg(d), a's units).
+    * *One interval.*  w_k / k <= L (L/k² or L/k), so cover's price per
+      diagonal never falls: it is convex and nondecreasing.  pos and neg
+      are convex in d, so LB is convex and {d : LB(d) <= U·L} is one
+      interval.  On [min(0, δ), max(0, δ)], LB equals LB(0) <= D, since
+      every path starts on diagonal 0, so the interval holds it.  It is
+      found by scanning outward from there, in integers scaled by L.
+    * *Ties.*  Every cell of an optimal path costs D <= U·L forward plus
+      backward, so it lies in the band.  A band cell's value is never
+      below the full table's, as the band has fewer paths, and equals it
+      where the cell's best prefix ends an optimal path.  So at each cell
+      that the backtrack visits, every predecessor that ties for the full
+      table's minimum is in the band at its full value and the others are
+      no cheaper: the tie order picks the full table's step.  INF, the
+      width of every non-match step, is carried along these argmins, so it
+      is the full table's too.
 
     Time is O((m + n)·w) for a band of w diagonals, and memory O(k·n)
     for the last k + 1 rows.  ``script=False`` skips the edit script
@@ -449,24 +515,15 @@ def align_symbols(a: Sequence[str],
     m, n = m - s, n - s
     tail = _matches(a, b, m, n, s) if script else ()
     a, b = a[:m], b[:n]
+    upper = _bit_distance(a, b)
     if not (ua or ub or script):
-        d = _bit_distance(a, b)
-        return AlignmentResult(float(d), (), d)
+        return AlignmentResult(float(upper), (), upper)
     step = math.lcm(*ua.values(), *ub.values())
     # Each product is a whole number; round() only undoes the float's error.
     edit_w = {k: round(cost.unit_edit_cost(k) * step)
               for k in {*ua.values(), *ub.values()}}
-    delta = n - m
-    lo, hi = min(0, delta) - _NARROW, max(0, delta) + _NARROW
+    lo, hi = _band(m, n, ua, ub, step, edit_w, upper)
     distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w, lo, hi, script)
-    if lo > -m or hi < n:  # the first band left cells out: bound the rest
-        k = max(edit_w, default=1)
-        reach = distance * k // edit_w.get(k, step)
-        lo2 = max(-m, -((reach - delta) // 2))
-        hi2 = min(n, (delta + reach) // 2)
-        if lo2 < lo or hi2 > hi:
-            distance, inf, steps = _band_pass(a, b, ua, ub, step, edit_w,
-                                              lo2, hi2, script)
     return AlignmentResult(distance / step, steps + tail, inf)
 
 

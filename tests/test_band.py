@@ -6,17 +6,20 @@ and backtracks a stored backpointer table, with the same tie order
 The banded aligner must give the same INF and edit script, and the
 exact distance correctly rounded to a float; so must the shortcuts that
 skip the band: equal streams, a common suffix that ends no unit, and the
-bit-vector distance of unit-free pairs.
+bit-vector distance of unit-free pairs.  No cell of the exact table may
+cost less, forward plus backward, than the lower bound that sizes the
+band.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
@@ -37,12 +40,8 @@ def exact_costs(cost: ab.CostModel):
     return (lambda k: Fraction(1)), (lambda ka, kb: Fraction(1))
 
 
-def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
-    """Distance, INF and script from the whole table, in exact arithmetic.
-
-    The distance is returned as a ``Fraction``; each op's cost as the
-    float of its exact cost.
-    """
+def exact_table(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
+    """Every cell's least cost from (0, 0), and its argmin step, exactly."""
     ua = units_a or {}
     ub = units_b or {}
     edit_cost, substitute_cost = exact_costs(cost)
@@ -94,7 +93,19 @@ def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
                     best, op = c, (EditOpKind.UNIT_INSERT, 0, kb, w)
             dp[i][j] = best
             bp[i][j] = op
+    return dp, bp
 
+
+def full_table_align(a, b, units_a=None, units_b=None, cost=ab.CostModel()):
+    """Distance, INF and script from the whole table, in exact arithmetic.
+
+    The distance is returned as a ``Fraction``; each op's cost as the
+    float of its exact cost.
+    """
+    a = tuple(a)
+    b = tuple(b)
+    m, n = len(a), len(b)
+    dp, bp = exact_table(a, b, units_a, units_b, cost)
     ops = []
     i, j = m, n
     while i > 0 or j > 0:
@@ -163,10 +174,10 @@ def test_one_side_empty_matches_full_table(a, b, sidebar_profile):
     assert_matches_oracle(a, b, sidebar_profile)
 
 
-def test_paths_outside_the_first_band_match_full_table(sidebar_profile):
+def test_paths_far_off_the_diagonal_match_full_table(sidebar_profile):
     rng = random.Random(0x0BAD)
     pieces = ["ক্ষ", "ণ", "ি", "ক", "ে", "র", " ", "অ", "ত", "থ"]
-    left_band = 0
+    strayed = 0
     for _ in range(6):
         s = "".join(rng.choice(pieces) for _ in range(50))
         a, b = "q" * 10 + s, s + "z" * 10
@@ -176,8 +187,8 @@ def test_paths_outside_the_first_band_match_full_table(sidebar_profile):
             assert_matches_oracle(x, y, None)
             sx, sy = ab.to_output_stream(x).text, ab.to_output_stream(y).text
             script = full_table_align(sx, sy)[2]
-            left_band += max(abs(op.pos_b - op.pos_a) for op in script) > 4
-    assert left_band  # the optimum really left [-4, 4]
+            strayed += max(abs(op.pos_b - op.pos_a) for op in script) > 4
+    assert strayed  # the optimum really leaves [-4, 4]
 
 
 def test_long_typed_like_pairs_match_full_table():
@@ -206,14 +217,71 @@ def unit_maps(draw, length: int) -> dict[int, int]:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_arbitrary_unit_maps_match_exact_table(data):
-    # Pins the band bound: the longest unit's edit is the cheapest step
-    # per diagonal, whichever side holds it.  A shared middle lets the
-    # optimal path leave the first band through cheap unit edits.
+    # Pins the band bound: each side's unit ends price its diagonals,
+    # cheapest first.  A shared middle lets the optimal path stray far
+    # from [min(0, δ), max(0, δ)] through cheap unit edits.
     shared = data.draw(st.text("abc", max_size=12))
     a = data.draw(st.text("abc", max_size=8)) + shared
     b = shared + data.draw(st.text("abc", max_size=8))
     assert_aligns_exactly(a, b, data.draw(unit_maps(len(a))),
                           data.draw(unit_maps(len(b))))
+
+
+def lower_bound(d, delta, ua, ub, cost):
+    """LB(d) of ``align_symbols``' docstring, in exact arithmetic.
+
+    Steps that move up are priced with b's unit ends, each filling at most
+    its length of diagonals at its edit cost per diagonal, cheapest first,
+    and basic steps at 1 after them; steps that move down with a's.
+    """
+    edit_cost, _ = exact_costs(cost)
+
+    def cover(x, units):
+        total = Fraction(0)
+        for k in sorted(units.values(), key=lambda k: edit_cost(k) / k):
+            used = min(x, k)
+            total += used * edit_cost(k) / k
+            x -= used
+        return total + x
+
+    return (cover(max(0, d) + max(0, delta - d), ub)
+            + cover(max(0, -d) + max(0, d - delta), ua))
+
+
+def reversed_units(units, length):
+    """The same units, on the reversed sequence."""
+    return {length - end + k: k for end, k in units.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_cell_beats_the_band_lower_bound(data):
+    shared = data.draw(st.text("abc", max_size=10))
+    a = data.draw(st.text("abc", max_size=8)) + shared
+    b = shared + data.draw(st.text("abc", max_size=8))
+    ua, ub = data.draw(unit_maps(len(a))), data.draw(unit_maps(len(b)))
+    m, n = len(a), len(b)
+    delta = n - m
+    upper = full_table_align(a, b)[0]  # no units: every path costs at least D
+    step = math.lcm(*ua.values(), *ub.values())
+    for cost in COSTS:
+        bound = {d: lower_bound(d, delta, ua, ub, cost) for d in range(-m, n + 1)}
+        # Each cell's best path from (0, 0) and its best path on to (m, n),
+        # the latter as the reversed pair's best path to the mirrored cell.
+        forward = exact_table(a, b, ua, ub, cost)[0]
+        backward = exact_table(a[::-1], b[::-1], reversed_units(ua, m),
+                               reversed_units(ub, n), cost)[0]
+        for i in range(m + 1):
+            for j in range(n + 1):
+                assert forward[i][j] + backward[m - i][n - j] >= bound[j - i]
+        kept = [d for d in bound if bound[d] <= upper]
+        lo, hi = kept[0], kept[-1]
+        assert kept == list(range(lo, hi + 1))
+        assert lo <= min(0, delta) and max(0, delta) <= hi
+        # The aligner keeps exactly these diagonals.
+        edit_cost = exact_costs(cost)[0]
+        edit_w = {k: int(edit_cost(k) * step) for k in {*ua.values(), *ub.values()}}
+        assert msd_module._band(m, n, ua, ub, step, edit_w, int(upper)) == (lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,6 +397,27 @@ class TestShortcutsSkipTheBand:
         assert result.script[3:] == (EditOp(EditOpKind.MATCH, 3, 3, ("c",), ("c",), 0.0),
                                      EditOp(EditOpKind.MATCH, 4, 4, ("c",), ("c",), 0.0))
 
+    # The recorder outlives Hypothesis's examples: it is emptied before
+    # every call.
+    @pytest.mark.parametrize("granularity", ["basic", "unit"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_band_pass_per_alignment(self, band_inputs, granularity, data):
+        record, typed_profile = data.draw(typed_sessions(granularity))
+        pairs = [(record.transcribed, record.presented, typed_profile),
+                 (data.draw(latin_text), data.draw(latin_text),
+                  data.draw(latin_profile))]
+        for x, y, profile in pairs:
+            sx, sy = ab.to_output_stream(x).text, ab.to_output_stream(y).text
+            ux, uy = unit_ends(x, profile), unit_ends(y, profile)
+            for a, b, ua, ub in ((sx, sy, ux, uy), (sy, sx, uy, ux)):
+                for cost in COSTS:
+                    for script in (True, False):
+                        band_inputs.clear()
+                        align_symbols(a, b, ua, ub, cost, script=script)
+                        assert len(band_inputs) <= 1, (a, b, ua, ub, cost)
+
     def test_unit_free_pair_without_script(self, band_inputs):
         assert align_symbols("kitten", "sitting", script=False) == AlignmentResult(3.0, (), 3)
         assert band_inputs == []
@@ -345,7 +434,7 @@ class TestExactTies:
         assert result.distance == 11 / 3
 
     def test_band_is_sized_by_the_longest_unit(self):
-        # Sized by the 1-symbol units, the second band misses the optimum.
+        # Priced by the 1-symbol units, the band would miss the optimum.
         assert_aligns_exactly("baaaaac", "aaaacba", {1: 1, 5: 4},
                               {1: 1, 2: 1, 3: 1, 4: 3})
 

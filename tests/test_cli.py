@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -738,3 +739,42 @@ class TestTableOverride:
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+class TestParserPerCommand:
+    """main builds only the parser of the command it runs."""
+
+    # Help, errors and listings: the one-command parser must print what
+    # the full parser prints, and exit with its code.
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([name, "--help"] for name in cli._COMMANDS),
+        ["analyze"], ["bogus"], [],
+        ["analyze", "log", "--profiles", "p", "--format", "xml"],
+        ["msd", "a", "b", "--msd-cost-mode", "bogus"],
+        ["decompose", "x", "--bogus"],
+    ], ids=" ".join)
+    def test_same_output_as_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+    def test_a_command_builds_two_parsers(self, capsys, monkeypatch,
+                                          sidebar_log_file, sidebar_profile_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _, _ = run(capsys, "analyze", sidebar_log_file,
+                         "--profiles", sidebar_profile_file)
+        assert code == 0
+        assert built == ["abugida", "abugida analyze"]
+        built.clear()
+        cli.build_parser()
+        assert len(built) == 1 + len(cli._COMMANDS)
