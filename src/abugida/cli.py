@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
 from .errors import AbugidaError
@@ -31,7 +31,9 @@ from .metrics import (
 )
 from .msd import CostModel, TechniqueProfile, msd
 from .sessionio import (
+    LogState,
     SessionRecord,
+    _whole_lines,
     corpus_totals,
     load_phrase_set,
     load_table_file,
@@ -132,12 +134,46 @@ def _load_profiles(path: str, table: CharTable) -> dict[str, TechniqueProfile]:
     return profiles
 
 
+# The log is read in blocks of this many bytes, never whole.
+_BLOCK_BYTES = 1 << 16
+
+
+def _log_blocks(fh: BinaryIO, size: int = _BLOCK_BYTES) -> Iterator[bytearray]:
+    """The log in ``fh`` as blocks of whole lines, in order.
+
+    Each read of ``size`` bytes is cut after its last line end, as
+    :func:`sessionio._whole_lines` finds it; the bytes after the cut open
+    the next block, and the last block holds the rest of the file.  A
+    line longer than ``size`` waits in the buffer until it ends.  Every
+    block is the same buffer, refilled once the previous one is parsed.
+    """
+    lines = bytearray()
+    while block := fh.read(size):
+        cut = _whole_lines(block)
+        if not cut:  # the line goes on
+            lines += block
+            continue
+        lines += memoryview(block)[:cut]
+        block = block[cut:]  # only the next block's start is kept meanwhile
+        yield lines
+        lines[:] = block
+    if lines:
+        yield lines
+
+
 def _load_study(args: argparse.Namespace, table: CharTable
                 ) -> tuple[dict[str, TechniqueProfile], list[SessionRecord]]:
-    """Profiles and sessions of a log command, every technique resolved."""
+    """Profiles and sessions of a log command, every technique resolved.
+
+    The log is parsed a block at a time, so its bytes are never held
+    beside the records parsed from them.
+    """
     profiles = _load_profiles(args.profiles, table)
-    data = _read_file(args.log)
-    records = parse_session_log(data, table)
+    records: list[SessionRecord] = []
+    state = LogState()
+    with open(args.log, "rb") as fh:
+        for block in _log_blocks(fh):
+            records += parse_session_log(block, table, state=state)
     if not records:
         raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
     missing = sorted({r.technique_id for r in records} - set(profiles))
@@ -151,14 +187,22 @@ def _metric_config(args: argparse.Namespace) -> MetricConfig:
                         msd_cost_mode=args.msd_cost_mode)
 
 
+def _each_once(records: list[SessionRecord]) -> Iterator[SessionRecord]:
+    """``records`` in order, each dropped from the list as it is given.
+
+    A record is then alive only while it is scored, so the parsed log and
+    the scores are never both held whole.
+    """
+    records.reverse()
+    while records:
+        yield records.pop()
+
+
 def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
     config = _metric_config(args)
     results = [analyze_session(r, profiles[r.technique_id], config)
-               for r in records]
-    # Every session is scored: nothing after this reads the parsed log,
-    # so it is freed before the summaries and the report are built.
-    del records
+               for r in _each_once(records)]
     summaries = aggregate(results)
     return EXIT_OK, write_analysis_report(
         summaries, results if args.per_session else None, args.format)
@@ -167,11 +211,14 @@ def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes
 def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     profiles, records = _load_study(args, table)
     config = _metric_config(args)
-    proposed = [analyze_session(r, profiles[r.technique_id], config)
-                for r in records]
-    naive = [naive_metrics(r, profiles[r.technique_id], config)
-             for r in records]
-    del records  # as in _cmd_analyze: the report needs only the scores
+    proposed, naive = [], []
+    # Each view makes every session-level check, so the first failing
+    # session in log order raises first, as when one view scored them all.
+    for record in _each_once(records):
+        profile = profiles[record.technique_id]
+        proposed.append(analyze_session(record, profile, config))
+        naive.append(naive_metrics(record, profile, config))
+    del record  # the report needs only the scores
     return EXIT_OK, write_compare_report(aggregate(proposed), aggregate(naive),
                                          args.format)
 

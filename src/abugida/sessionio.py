@@ -39,10 +39,10 @@ import io
 import json
 import logging
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import le
-from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bengali import (_LONE_SURROGATE, BENGALI_TABLE, CharTable, normalize,
                       to_output_stream)
@@ -63,6 +63,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SessionRecord",
     "PhraseSet",
+    "LogState",
     "parse_session_log",
     "write_session_log",
     "parse_technique_profile",
@@ -318,7 +319,22 @@ def _bulk_events(raw: list, table: CharTable, payloads: _Payloads) -> _Columns |
     return stamps, codes, texts
 
 
-def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> SessionRecord:
+@dataclass
+class LogState:
+    """What :func:`parse_session_log` carries from one block of a log to the next.
+
+    One state serves one log under one table.
+    """
+
+    lines: int = 0  # the lines read so far
+    first_line: dict[str, int] = field(default_factory=dict)  # by session id
+    payloads: _Payloads = field(default_factory=dict)  # every checked (k, p)
+    # One string for each technique and participant id: a study repeats few.
+    ids: dict[str, str] = field(default_factory=dict)
+
+
+def _parse_record(obj: object, table: CharTable, state: LogState) -> SessionRecord:
+    payloads, ids = state.payloads, state.ids
     _object(obj, _RECORD_FIELDS, None)
     session_id = _require_str(obj, "session_id", nonempty=True)
     technique_id = _require_str(obj, "technique_id", nonempty=True)
@@ -343,8 +359,8 @@ def _parse_record(obj: object, table: CharTable, payloads: _Payloads) -> Session
                                 for column in (stamps, codes, texts))
     return SessionRecord(
         session_id=session_id,
-        technique_id=technique_id,
-        participant_id=participant_id,
+        technique_id=ids.setdefault(technique_id, technique_id),
+        participant_id=ids.setdefault(participant_id, participant_id),
         presented=presented,
         transcribed=transcribed,
         events=InputStream._from_columns(stamps, codes, texts),
@@ -377,14 +393,25 @@ def _lines(data: bytes | bytearray) -> Iterator[bytes | bytearray]:
             start = cr + 2 if cr + 1 == newline else cr + 1
 
 
-def parse_session_log(data: Source,
-                      table: CharTable = BENGALI_TABLE) -> list[SessionRecord]:
+def _whole_lines(block: bytes | bytearray) -> int:
+    """The length of ``block``'s whole lines, as :func:`_lines` ends them.
+
+    A ``\\r`` that ends ``block`` may be the first half of a ``\\r\\n``
+    that the next block completes, so it ends no line here.  0 if no line
+    ends in ``block``.
+    """
+    end = len(block) - block.endswith(b"\r")
+    return max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1
+
+
+def parse_session_log(data: Source, table: CharTable = BENGALI_TABLE, *,
+                      state: LogState | None = None) -> list[SessionRecord]:
     """Parse a JSON Lines session log.  Blank lines are skipped.
 
     A :class:`ParseError` or :class:`EncodingError` carries the line it
     arose on as ``line``.  A session id may appear once; a repeat names
     both lines.  Each distinct event ``(k, p)`` pair is checked,
-    normalized and flattened once per call: a log's keystrokes draw on a
+    normalized and flattened once per log: a log's keystrokes draw on a
     small alphabet of payloads.  A line is decoded by :func:`_load_record`
     and its events are checked by :func:`_bulk_events`; both fall back to
     the per-object and per-event checks, so every result and error is
@@ -393,16 +420,27 @@ def parse_session_log(data: Source,
     Lines are cut from ``data`` one at a time (:func:`_lines`), so beside
     the bytes it was given and the records it returns the parser holds
     one line and its decoded text, not a copy of the whole log.
+
+    A log may also be parsed in blocks, one call per block, all with one
+    :class:`LogState`, fresh for the first block and updated by each call.
+    It carries the line count, the first line of each session id, the
+    payload memo and the shared ids.  Every block but the last must hold
+    whole lines: it ends in a line end, and not in a ``\\r`` that the next
+    block's ``\\n`` completes (:func:`_whole_lines` finds the longest such
+    prefix).  The calls then return, in order, the records that one call
+    on the whole log returns, log the same warnings and raise the same
+    error, with the same ``line``.
     """
+    state = LogState() if state is None else state
     records: list[SessionRecord] = []
-    first_line: dict[str, int] = {}
-    payloads: _Payloads = {}
-    for lineno, raw in enumerate(_lines(_read_bytes(data)), start=1):
+    first_line = state.first_line
+    lineno = state.lines
+    for lineno, raw in enumerate(_lines(_read_bytes(data)), start=lineno + 1):
         try:
             text = _decode(raw, file_start=lineno == 1)
             if not text.strip():
                 continue
-            record = _parse_record(_load_record(text), table, payloads)
+            record = _parse_record(_load_record(text), table, state)
         except (EncodingError, ParseError) as err:
             err.line = lineno
             raise
@@ -411,6 +449,7 @@ def parse_session_log(data: Source,
             raise ParseError(f"session id {record.session_id!r} already used "
                              f"on line {first}", line=lineno, field="session_id")
         records.append(record)
+    state.lines = lineno
     return records
 
 
@@ -548,14 +587,16 @@ def _csv_cell(value: object) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-_Table = tuple[Sequence[str], Sequence[dict]]
+_Table = tuple[Sequence[str], Iterable[dict]]
 
 
 def _render(tables: dict[str, _Table], fmt: str) -> bytes:
     """Render tables of rows keyed by their columns, in order.
 
     CSV separates tables by a blank line.  JSON gives one table as a list
-    of rows and several as an object keyed by table name.
+    of rows and several as an object keyed by table name.  Rows are
+    rendered as they are drawn from their table, so a table may make
+    them one at a time.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -567,42 +608,52 @@ def _render(tables: dict[str, _Table], fmt: str) -> bytes:
             writer.writerows([_csv_cell(v) for v in r.values()] for r in rows)
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        if len(tables) == 1:
-            (_, rows), = tables.values()
-            text = _json_rows(rows, 0)
-        else:
-            text = "{\n" + ",\n".join(
-                f"  {json.dumps(name, ensure_ascii=False)}: {_json_rows(rows, 1)}"
-                for name, (_, rows) in tables.items()) + "\n}"
-        return (text + "\n").encode("utf-8")
+        return b"".join(_json_tables(tables))
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _json_rows(rows: Sequence[dict], depth: int) -> str:
+def _json_tables(tables: dict[str, _Table]) -> Iterator[bytes]:
+    """The UTF-8 pieces of ``json.dumps(..., indent=2)`` of the tables' rows."""
+    if len(tables) == 1:
+        (_, rows), = tables.values()
+        yield from _json_rows(rows, 0)
+    else:
+        for n, (name, (_, rows)) in enumerate(tables.items()):
+            opening = ",\n  " if n else "{\n  "
+            yield f"{opening}{json.dumps(name, ensure_ascii=False)}: ".encode("utf-8")
+            yield from _json_rows(rows, 1)
+        yield b"\n}"
+    yield b"\n"
+
+
+def _json_rows(rows: Iterable[dict], depth: int) -> Iterator[bytes]:
     """``rows`` as ``json.dumps(..., indent=2)`` writes them ``depth`` levels in.
 
     Encoding the whole report in one call would hold a string for every
     token of it at once, several times the report's size.  So each row,
     a flat object of columns, is encoded on its own by the C encoder, its
-    indent carried in the item separator.
+    indent carried in the item separator, and turned into bytes at once.
     """
-    if not rows:
-        return "[]"
     outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     encode = json.JSONEncoder(ensure_ascii=False,
                               separators=("," + inner, ": ")).encode
-    return "[" + outer + ("," + outer).join(
-        "{" + inner + encode({k: round(v.value, 2) if isinstance(v, _Metric) else v
-                              for k, v in r.items()})[1:-1] + outer + "}"
-        for r in rows) + "\n" + "  " * depth + "]"
+    close = "[]"
+    for n, r in enumerate(rows):
+        body = encode({k: round(v.value, 2) if isinstance(v, _Metric) else v
+                       for k, v in r.items()})
+        yield (("," if n else "[") + outer + "{" + inner + body[1:-1] + outer
+               + "}").encode("utf-8")
+        close = "\n" + "  " * depth + "]"
+    yield close.encode("utf-8")
 
 
 _SUMMARY_COLUMNS = ("technique", *METRIC_FIELDS, "n_sessions")
 
+_INTERMEDIATE_FIELDS = tuple(f.name for f in fields(SessionIntermediates))
+
 _SESSION_COLUMNS = (
     "session_id", "technique_id", "participant_id",
-    *METRIC_FIELDS,
-    *(f.name for f in fields(SessionIntermediates)),
+    *METRIC_FIELDS, *_INTERMEDIATE_FIELDS,
 )
 
 _COMPARE_COLUMNS = ("technique", "metric", "proposed", "naive", "delta")
@@ -617,12 +668,14 @@ def _summary_table(summaries: "Sequence[TechniqueSummary]") -> _Table:
 
 
 def _session_table(results: "Sequence[SessionMetrics]") -> _Table:
-    return _SESSION_COLUMNS, [
+    """The per-session table, its rows made one at a time as they are drawn."""
+    return _SESSION_COLUMNS, (
         {"session_id": m.session_id, "technique_id": m.technique_id,
          "participant_id": m.participant_id,
          **{f: _Metric(f, getattr(m, f)) for f in METRIC_FIELDS},
-         **vars(m.intermediates)}
-        for m in results]
+         # Not vars(): from Python 3.11 it gives each object a dict to keep.
+         **{f: getattr(m.intermediates, f) for f in _INTERMEDIATE_FIELDS}}
+        for m in results)
 
 
 def write_analysis_report(summaries: "Sequence[TechniqueSummary]",

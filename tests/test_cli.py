@@ -7,6 +7,8 @@ import contextlib
 import gc
 import io
 import json
+import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -689,8 +691,8 @@ class TestLogReleasedBeforeReport:
         records, alive = [], []
         parse, write = cli.parse_session_log, getattr(cli, writer)
 
-        def parse_and_watch(*args):
-            parsed = parse(*args)
+        def parse_and_watch(*args, **kwargs):
+            parsed = parse(*args, **kwargs)
             records.extend(map(weakref.ref, parsed))
             return parsed
 
@@ -706,6 +708,87 @@ class TestLogReleasedBeforeReport:
                            *argv[1:])
         assert (code, err) == (0, "")
         assert (len(records), alive) == (2, [0])
+
+
+class TestIngestInBlocks:
+    """A log command reads the log a block at a time and never holds it whole."""
+
+    @pytest.mark.parametrize("sessions", [300, 1200])
+    def test_peak_beside_the_records(self, tmp_path, sidebar_profile_file,
+                                     sessions):
+        log = write_jsonl(tmp_path / "log.jsonl", [
+            sidebar_log_obj(f"s{n}", f"p{n}") for n in range(sessions)])
+        longest = max(map(len, Path(log).read_bytes().splitlines(keepends=True)))
+        args = argparse.Namespace(log=log, profiles=sidebar_profile_file)
+        tracemalloc.start()
+        try:
+            _, records = cli._load_study(args, ab.BENGALI_TABLE)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == sessions
+        # Beside what it returns, ingest holds a block or two, the line it
+        # parses and its own state, where it once held the whole file.
+        assert peak - held < 3 * cli._BLOCK_BYTES + longest
+
+    def test_one_parse_per_block(self, capsys, monkeypatch, tmp_path,
+                                 sidebar_profile_file):
+        sizes = []
+        parse = cli.parse_session_log
+
+        def measured(data, *args, **kwargs):
+            sizes.append(len(data))
+            return parse(data, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_session_log", measured)
+        log = write_jsonl(tmp_path / "log.jsonl", [
+            sidebar_log_obj(f"s{n}", f"p{n}") for n in range(300)])
+        code, out, _ = run(capsys, "validate-log", log,
+                           "--profiles", sidebar_profile_file)
+        assert (code, out.count("\tMATCH\n")) == (0, 300)
+        size = Path(log).stat().st_size
+        assert sum(sizes) == size
+        assert len(sizes) == math.ceil(size / cli._BLOCK_BYTES) > 1
+
+
+class TestErrorOrder:
+    """Scoring drops each record once it is scored, in log order and both
+    views together, and reports the error it reported scoring them all."""
+
+    MISMATCH = ("error: session s4: events replay to 'ক্ষণিকের অতথি', log says "
+                "'ক্ষণিকের অতিথি'\n")
+
+    @pytest.fixture
+    def sessions(self):
+        objs = [sidebar_log_obj(f"s{n}", f"p{n}") for n in range(1, 6)]
+        objs[3]["transcribed"] = "ক্ষণিকের অতিথি"  # s4 is a mismatch
+        return objs
+
+    @pytest.mark.parametrize("command", ["analyze", "compare-naive"])
+    def test_first_failing_session_wins(self, capsys, tmp_path,
+                                        sidebar_profile_file, sessions, command):
+        sessions[1]["events"].append({"t": 30000, "k": "edit", "p": ""})
+        log = write_jsonl(tmp_path / "log.jsonl", sessions)
+        assert run(capsys, command, log, "--profiles", sidebar_profile_file) == (
+            1, "", "error: session s2: edit event at t=30000ms: cursor movement "
+                   "is not replayable\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "compare-naive"])
+    def test_mismatch(self, capsys, tmp_path, sidebar_profile_file, sessions,
+                      command):
+        log = write_jsonl(tmp_path / "log.jsonl", sessions)
+        assert run(capsys, command, log, "--profiles", sidebar_profile_file) == (
+            1, "", self.MISMATCH)
+
+    @pytest.mark.parametrize("command", ["analyze", "compare-naive"])
+    def test_bad_last_line_ahead_of_an_earlier_mismatch(
+            self, capsys, tmp_path, sidebar_profile_file, sessions, command):
+        log = write_jsonl(tmp_path / "log.jsonl", sessions)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("{oops\n")
+        assert run(capsys, command, log, "--profiles", sidebar_profile_file) == (
+            1, "", "error: line 6: invalid JSON: Expecting property name "
+                   "enclosed in double quotes\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare-naive"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
-from abugida import sessionio
+from abugida import cli, sessionio
 from abugida.sessionio import (
     corpus_totals,
     write_analysis_report,
@@ -496,6 +497,18 @@ def reshaped_logs(draw) -> bytes:
     return b"\xef\xbb\xbf" + data if draw(st.booleans()) else data
 
 
+THREE_SESSIONS = log_bytes(*(sidebar_log_obj(f"s{n}") for n in range(3)))
+ALTERATIONS = {
+    "crlf": lambda d: d.replace(b"\n", b"\r\n"),
+    "lone-cr": lambda d: d.replace(b"\n", b"\r"),
+    "blank-lines": lambda d: d.replace(b"\n", b"\n\n \r\n\t\r"),
+    "bom": lambda d: b"\xef\xbb\xbf" + d,
+    "no-final-end": lambda d: d.rstrip(b"\n"),
+    "bad-last-line": lambda d: d + b"{oops",
+    "bad-last-line-after-cr": lambda d: d.replace(b"\n", b"\r") + b"[]\r",
+}
+
+
 class TestLineCuts:
     """The log is cut one line at a time, exactly where ``splitlines`` cuts it."""
 
@@ -506,18 +519,9 @@ class TestLineCuts:
         assert list(sessionio._lines(data)) == data.splitlines()
         assert list(sessionio._lines(bytearray(data))) == bytearray(data).splitlines()
 
-    @pytest.mark.parametrize("alter", [
-        lambda d: d.replace(b"\n", b"\r\n"),
-        lambda d: d.replace(b"\n", b"\r"),
-        lambda d: d.replace(b"\n", b"\n\n \r\n\t\r"),
-        lambda d: b"\xef\xbb\xbf" + d,
-        lambda d: d.rstrip(b"\n"),
-        lambda d: d + b"{oops",
-        lambda d: d.replace(b"\n", b"\r") + b"[]\r",
-    ], ids=["crlf", "lone-cr", "blank-lines", "bom", "no-final-end",
-            "bad-last-line", "bad-last-line-after-cr"])
+    @pytest.mark.parametrize("alter", ALTERATIONS.values(), ids=ALTERATIONS.keys())
     def test_altered_log_parses_as_with_splitlines(self, alter):
-        data = alter(log_bytes(*(sidebar_log_obj(f"s{n}") for n in range(3))))
+        data = alter(THREE_SESSIONS)
         assert parse_outcome(data) == spliced(data)
 
     @settings(max_examples=300, deadline=None)
@@ -536,6 +540,81 @@ class TestLineCuts:
             tracemalloc.stop()
         assert len(records) == 300
         assert peak - retained < 0.25 * len(data)
+
+
+def in_blocks(data: bytes, size: int):
+    """``parse_outcome`` of ``data`` cut by the CLI's block cutter, one
+    ``parse_session_log`` call a block with one state, as the CLI reads a log."""
+    state, records = sessionio.LogState(), []
+    try:
+        for block in cli._log_blocks(io.BytesIO(data), size):
+            records += ab.parse_session_log(block, state=state)
+    except ab.AbugidaError as err:
+        return type(err), str(err), err.line, err.field
+    return records, {type(e.kind) for r in records for e in r.events}
+
+
+def with_warnings(outcome, *args):
+    """``outcome(*args)`` and the warnings it logged."""
+    with mock.patch.object(sessionio.log, "warning") as warning:
+        return outcome(*args), warning.call_args_list
+
+
+UNSORTED = log_bytes(sidebar_log_obj("s0"), dict(
+    sidebar_log_obj("s1"), events=sidebar_log_obj()["events"][::-1]))
+
+
+class TestBlocks:
+    """A log parsed a block of whole lines at a time, the state carried from
+    block to block, gives what one call on the whole log gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reshaped_logs()
+           | st.sampled_from(list(ALTERATIONS.values())).map(lambda f: f(THREE_SESSIONS))
+           | st.just(UNSORTED),
+           st.integers(1, 16) | st.integers(1, 4096))
+    def test_same_outcome_as_one_call(self, data, size):
+        assert (with_warnings(in_blocks, data, size)
+                == with_warnings(parse_outcome, data))
+
+    def test_unsorted_record_warns_once(self):
+        (records, _), warnings = with_warnings(in_blocks, UNSORTED, 7)
+        assert len(records) == 2
+        assert len(warnings) == 1
+
+    def test_repeated_id_first_used_in_an_earlier_block(self):
+        data = log_bytes(sidebar_log_obj("s1"), sidebar_log_obj("s2"),
+                         sidebar_log_obj("s1"))
+        first = len(data.splitlines(keepends=True)[0])
+        blocks = [bytes(b) for b in cli._log_blocks(io.BytesIO(data), first)]
+        assert len(blocks) == 3
+        expected = (ab.ParseError, "line 3, field 'session_id': session id 's1' "
+                    "already used on line 1", 3, "session_id")
+        assert in_blocks(data, first) == parse_outcome(data) == expected
+
+    def test_crlf_split_across_reads_stays_one_line_end(self):
+        data = THREE_SESSIONS.replace(b"\n", b"\r\n")
+        size = data.index(b"\r") + 1  # the first read ends between \r and \n
+        blocks = [bytes(b) for b in cli._log_blocks(io.BytesIO(data), size)]
+        assert b"".join(blocks) == data
+        assert not any(b.endswith(b"\r") for b in blocks)
+        state = sessionio.LogState()
+        records = [r for b in blocks for r in ab.parse_session_log(b, state=state)]
+        assert state.lines == 3
+        assert (records, {ab.KeyEventKind}) == parse_outcome(data)
+
+    @pytest.mark.parametrize("block, whole", [
+        (b"", 0), (b"abc", 0), (b"a\n", 2), (b"a\nb", 2), (b"a\r", 0),
+        (b"a\r\n", 3), (b"a\rb", 2), (b"a\r\r", 2), (b"a\nb\r", 2),
+        (b"\r\n\r", 2)])
+    def test_whole_lines(self, block, whole):
+        assert sessionio._whole_lines(block) == whole
+
+    def test_ids_are_shared(self):
+        records = ab.parse_session_log(log_bytes(
+            sidebar_log_obj("s1", "p1"), sidebar_log_obj("s2", "p1")))
+        assert records[0].technique_id is records[1].technique_id
+        assert records[0].participant_id is records[1].participant_id
 
 
 class TestParsedEventsHeld:
@@ -854,29 +933,47 @@ class TestJsonRendering:
         assert rendered == expected.encode("utf-8")
 
 
-class TestOtherWriters:
-    def _session_metrics(self):
-        i = ab.SessionIntermediates(12, 14, 13, 1, 1.0, 20.0, 12, 0, 0)
-        return ab.SessionMetrics("s1", "conjunct-key", "p1",
-                                 7.045009784735812, 0.9230769230769231,
-                                 7.6923076923076925, 7.142857142857142,
-                                 7.6923076923076925, i)
+def session_metrics(session_id="s1"):
+    i = ab.SessionIntermediates(12, 14, 13, 1, 1.0, 20.0, 12, 0, 0)
+    return ab.SessionMetrics(session_id, "conjunct-key", "p1",
+                             7.045009784735812, 0.9230769230769231,
+                             7.6923076923076925, 7.142857142857142,
+                             7.6923076923076925, i)
 
+
+class TestReportMemory:
+    """A report is encoded as its rows are made, not from one table of them."""
+
+    def test_per_session_json_peak(self):
+        results = [session_metrics(f"s{n}") for n in range(2000)]
+        tracemalloc.start()
+        try:
+            data = write_analysis_report([summary()], results, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(data)["sessions"]) == 2000
+        # The encoded rows and their join; rows joined as one str and
+        # then encoded took five times the report.
+        assert peak < 2.5 * len(data)
+
+
+class TestOtherWriters:
     def test_per_session_csv(self):
-        data = write_analysis_report([summary()], [self._session_metrics()], "csv")
+        data = write_analysis_report([summary()], [session_metrics()], "csv")
         lines = data.decode().split("\r\n")
         assert lines[0].startswith("session_id,technique_id,participant_id,wpm_bn")
         assert lines[1] == ("s1,conjunct-key,p1,7.05,0.92,7.69%,7.14%,7.69%,"
                             "12,14,13,1,1,20,12,0,0")
 
     def test_analysis_report_combined_csv(self):
-        data = write_analysis_report([summary()], [self._session_metrics()], "csv")
+        data = write_analysis_report([summary()], [session_metrics()], "csv")
         blocks = data.split(b"\r\n\r\n")
         assert len(blocks) == 2
         assert blocks[1].startswith(b"technique,")
 
     def test_analysis_report_json_shape(self):
-        data = write_analysis_report([summary()], [self._session_metrics()], "json")
+        data = write_analysis_report([summary()], [session_metrics()], "json")
         obj = json.loads(data)
         assert set(obj) == {"sessions", "summary"}
         assert obj["sessions"][0]["session_id"] == "s1"
