@@ -6,6 +6,14 @@ to stderr only.  Exit codes: 0 success, 1 unreadable or malformed
 inputs, 2 unresolved technique profiles, 3 validate-log found sessions
 that do not replay to their stored transcription.
 
+The log commands (analyze, compare-naive, validate-log) read the log in
+64 KiB blocks and score each block's sessions before reading the next,
+so they hold one block's records and the scores, never the parsed log.
+Their errors come in the order of parsing the whole log first: a
+malformed line anywhere, then a log with no sessions, then every
+technique without a profile, then the first failing session in log
+order.
+
 Set ABUGIDA_TABLE to a classification table file to override the
 built-in Bengali table for every command.
 """
@@ -18,7 +26,7 @@ import logging
 import math
 import os
 import sys
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
 from .errors import AbugidaError
@@ -161,25 +169,44 @@ def _log_blocks(fh: BinaryIO, size: int = _BLOCK_BYTES) -> Iterator[bytearray]:
         yield lines
 
 
-def _load_study(args: argparse.Namespace, table: CharTable
-                ) -> tuple[dict[str, TechniqueProfile], list[SessionRecord]]:
-    """Profiles and sessions of a log command, every technique resolved.
+def _score_log(args: argparse.Namespace, table: CharTable,
+               score: Callable[[list[SessionRecord], dict[str, TechniqueProfile]],
+                               object]) -> None:
+    """Read a log command's log a block at a time, scoring as it is read.
 
-    The log is parsed a block at a time, so its bytes are never held
-    beside the records parsed from them.
+    ``score(records, profiles)`` gets each block's records, in log order,
+    before the next block is read, so a command holds one block's records
+    and its scores, never the parsed log.  Once a technique has no
+    profile, or ``score`` raises an :class:`AbugidaError`, no later block
+    is scored, but the log is still read to its end.  The errors then
+    come in the order they would if every line were parsed before any
+    session was scored: a malformed line anywhere (exit 1), a log with no
+    sessions (exit 1), every technique that has no profile (exit 2), and
+    only then the first error that scoring raised.
     """
     profiles = _load_profiles(args.profiles, table)
-    records: list[SessionRecord] = []
     state = LogState()
+    sessions = 0
+    missing: set[str] = set()
+    failure: AbugidaError | None = None
     with open(args.log, "rb") as fh:
         for block in _log_blocks(fh):
-            records += parse_session_log(block, table, state=state)
-    if not records:
+            records = parse_session_log(block, table, state=state)
+            sessions += len(records)
+            missing |= {r.technique_id for r in records} - profiles.keys()
+            if missing or failure is not None:
+                continue
+            try:
+                score(records, profiles)
+            except AbugidaError as err:
+                failure = err
+    if not sessions:
         raise _Exit(EXIT_INPUT, f"{args.log} contains no sessions")
-    missing = sorted({r.technique_id for r in records} - set(profiles))
     if missing:
-        raise _Exit(EXIT_PROFILES, "no technique profile for: " + ", ".join(missing))
-    return profiles, records
+        raise _Exit(EXIT_PROFILES,
+                    "no technique profile for: " + ", ".join(sorted(missing)))
+    if failure is not None:
+        raise failure
 
 
 def _metric_config(args: argparse.Namespace) -> MetricConfig:
@@ -187,38 +214,32 @@ def _metric_config(args: argparse.Namespace) -> MetricConfig:
                         msd_cost_mode=args.msd_cost_mode)
 
 
-def _each_once(records: list[SessionRecord]) -> Iterator[SessionRecord]:
-    """``records`` in order, each dropped from the list as it is given.
-
-    A record is then alive only while it is scored, so the parsed log and
-    the scores are never both held whole.
-    """
-    records.reverse()
-    while records:
-        yield records.pop()
-
-
 def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
-    profiles, records = _load_study(args, table)
     config = _metric_config(args)
-    results = [analyze_session(r, profiles[r.technique_id], config)
-               for r in _each_once(records)]
-    summaries = aggregate(results)
+    results = []
+
+    def score(records, profiles):
+        results.extend([analyze_session(r, profiles[r.technique_id], config)
+                         for r in records])
+
+    _score_log(args, table, score)
     return EXIT_OK, write_analysis_report(
-        summaries, results if args.per_session else None, args.format)
+        aggregate(results), results if args.per_session else None, args.format)
 
 
 def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
-    profiles, records = _load_study(args, table)
     config = _metric_config(args)
     proposed, naive = [], []
+
     # Each view makes every session-level check, so the first failing
     # session in log order raises first, as when one view scored them all.
-    for record in _each_once(records):
-        profile = profiles[record.technique_id]
-        proposed.append(analyze_session(record, profile, config))
-        naive.append(naive_metrics(record, profile, config))
-    del record  # the report needs only the scores
+    def score(records, profiles):
+        for record in records:
+            profile = profiles[record.technique_id]
+            proposed.append(analyze_session(record, profile, config))
+            naive.append(naive_metrics(record, profile, config))
+
+    _score_log(args, table, score)
     return EXIT_OK, write_compare_report(aggregate(proposed), aggregate(naive),
                                          args.format)
 
@@ -262,23 +283,27 @@ def _cmd_corpus_stats(args: argparse.Namespace, table: CharTable) -> tuple[int, 
 
 
 def _cmd_validate_log(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
-    profiles, records = _load_study(args, table)
     lines = []
     clean = True
-    for record in records:
-        try:
-            replayed = replay_transcription(
-                record.events, profiles[record.technique_id])
-        except AbugidaError as err:
-            lines.append(f"{record.session_id}\tERROR\t{err}")
-            clean = False
-            continue
-        if replay_matches(replayed, record.transcribed, table):
-            lines.append(f"{record.session_id}\tMATCH")
-        else:
-            lines.append(f"{record.session_id}\tMISMATCH\treplayed "
-                         f"{replayed!r}, log says {record.transcribed!r}")
-            clean = False
+
+    def check(records, profiles):
+        nonlocal clean
+        for record in records:
+            try:
+                replayed = replay_transcription(
+                    record.events, profiles[record.technique_id])
+            except AbugidaError as err:
+                lines.append(f"{record.session_id}\tERROR\t{err}")
+                clean = False
+                continue
+            if replay_matches(replayed, record.transcribed, table):
+                lines.append(f"{record.session_id}\tMATCH")
+            else:
+                lines.append(f"{record.session_id}\tMISMATCH\treplayed "
+                             f"{replayed!r}, log says {record.transcribed!r}")
+                clean = False
+
+    _score_log(args, table, check)
     return (EXIT_OK if clean else EXIT_MISMATCH), _text(lines)
 
 

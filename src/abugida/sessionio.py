@@ -323,7 +323,10 @@ def _bulk_events(raw: list, table: CharTable, payloads: _Payloads) -> _Columns |
 class LogState:
     """What :func:`parse_session_log` carries from one block of a log to the next.
 
-    One state serves one log under one table.
+    One state serves one log under one table.  The log commands score
+    each block's records and drop them before the next block is parsed,
+    so this is all they keep of a log between blocks, and the first line
+    of each session id is the part that grows with it.
     """
 
     lines: int = 0  # the lines read so far
@@ -596,20 +599,24 @@ def _render(tables: dict[str, _Table], fmt: str) -> bytes:
     CSV separates tables by a blank line.  JSON gives one table as a list
     of rows and several as an object keyed by table name.  Rows are
     rendered as they are drawn from their table, so a table may make
-    them one at a time.
+    them one at a time, and each is encoded into the one buffer whose
+    bytes are returned: no copy of the report is made beside it.
     """
+    out = io.BytesIO()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
+        text = io.TextIOWrapper(out, encoding="utf-8", newline="")
+        writer = csv.writer(text, lineterminator="\r\n")
         for n, (columns, rows) in enumerate(tables.values()):
             if n:
                 writer.writerow([])
             writer.writerow(columns)
             writer.writerows([_csv_cell(v) for v in r.values()] for r in rows)
-        return buf.getvalue().encode("utf-8")
-    if fmt == "json":
-        return b"".join(_json_tables(tables))
-    raise ValueError(f"unknown report format {fmt!r}")
+        text.detach()  # flushes into ``out`` and leaves it open
+    elif fmt == "json":
+        out.writelines(_json_tables(tables))
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return out.getvalue()
 
 
 def _json_tables(tables: dict[str, _Table]) -> Iterator[bytes]:

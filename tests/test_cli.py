@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
+import logging
 import math
+import random
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -17,6 +20,8 @@ import pytest
 import abugida as ab
 from abugida import cli
 from abugida.cli import main
+from abugida.sessionio import write_analysis_report, write_compare_report
+from abugida.streams import replay_matches, replay_transcription
 from conftest import sidebar_log_obj, sidebar_profile_obj, write_json, write_jsonl
 
 
@@ -713,23 +718,31 @@ class TestLogReleasedBeforeReport:
 class TestIngestInBlocks:
     """A log command reads the log a block at a time and never holds it whole."""
 
-    @pytest.mark.parametrize("sessions", [300, 1200])
-    def test_peak_beside_the_records(self, tmp_path, sidebar_profile_file,
-                                     sessions):
-        log = write_jsonl(tmp_path / "log.jsonl", [
-            sidebar_log_obj(f"s{n}", f"p{n}") for n in range(sessions)])
-        longest = max(map(len, Path(log).read_bytes().splitlines(keepends=True)))
-        args = argparse.Namespace(log=log, profiles=sidebar_profile_file)
-        tracemalloc.start()
-        try:
-            _, records = cli._load_study(args, ab.BENGALI_TABLE)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(records) == sessions
-        # Beside what it returns, ingest holds a block or two, the line it
-        # parses and its own state, where it once held the whole file.
-        assert peak - held < 3 * cli._BLOCK_BYTES + longest
+    def test_validate_log_peak_grows_less_than_the_parsed_log(
+            self, tmp_path, sidebar_profile_file):
+        peaks, parsed = [], []
+        for sessions in (300, 1200):
+            log = write_jsonl(tmp_path / f"log{sessions}.jsonl", [
+                sidebar_log_obj(f"s{n}", f"p{n}") for n in range(sessions)])
+            argv = ["validate-log", log, "--profiles", sidebar_profile_file,
+                    "--out", str(tmp_path / "out.txt")]
+            assert main(argv) == 0  # warm: the first run fills caches
+            data = Path(log).read_bytes()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                before = tracemalloc.get_traced_memory()[0]
+                records = ab.parse_session_log(data)
+                parsed.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(records) == sessions
+            del records
+        # 900 more sessions add their ids (LogState) and their output lines
+        # to the run's peak: 0.20 MB here.  Holding the parsed log would add
+        # its 900 more records, the 0.78 MB that the second measure counts.
+        assert peaks[1] - peaks[0] < (parsed[1] - parsed[0]) / 2
 
     def test_one_parse_per_block(self, capsys, monkeypatch, tmp_path,
                                  sidebar_profile_file):
@@ -752,8 +765,8 @@ class TestIngestInBlocks:
 
 
 class TestErrorOrder:
-    """Scoring drops each record once it is scored, in log order and both
-    views together, and reports the error it reported scoring them all."""
+    """Scoring each block as it is read reports the error that scoring the
+    whole parsed log, in log order and both views together, reported."""
 
     MISMATCH = ("error: session s4: events replay to 'ক্ষণিকের অতথি', log says "
                 "'ক্ষণিকের অতিথি'\n")
@@ -789,6 +802,108 @@ class TestErrorOrder:
         assert run(capsys, command, log, "--profiles", sidebar_profile_file) == (
             1, "", "error: line 6: invalid JSON: Expecting property name "
                    "enclosed in double quotes\n")
+
+
+
+def reference_run(argv: list[str]) -> tuple[int, str, str]:
+    """A log command's exit code, stdout and stderr, from the whole parsed log.
+
+    Every line is parsed before any session is scored; then come the
+    empty-log check, the missing-profile check and the sessions in log
+    order, both views of a session together.
+    """
+    command, log, _, profile_path, *flags = argv
+    profile = ab.parse_technique_profile(Path(profile_path).read_bytes())
+    profiles = {profile.technique_id: profile}
+    try:
+        records = ab.parse_session_log(Path(log).read_bytes())
+    except ab.AbugidaError as err:
+        return 1, "", f"error: {err}\n"
+    if not records:
+        return 1, "", f"error: {log} contains no sessions\n"
+    missing = sorted({r.technique_id for r in records} - set(profiles))
+    if missing:
+        return 2, "", f"error: no technique profile for: {', '.join(missing)}\n"
+    config = ab.MetricConfig()
+    try:
+        if command == "analyze":
+            results = [ab.analyze_session(r, profiles[r.technique_id], config)
+                       for r in records]
+            data = write_analysis_report(ab.aggregate(results), results,
+                                         "json" if "json" in flags else "csv")
+        elif command == "compare-naive":
+            proposed, naive = [], []
+            for r in records:
+                proposed.append(ab.analyze_session(r, profiles[r.technique_id], config))
+                naive.append(ab.naive_metrics(r, profiles[r.technique_id], config))
+            data = write_compare_report(ab.aggregate(proposed), ab.aggregate(naive))
+        else:
+            lines, code = [], 0
+            for r in records:
+                try:
+                    replayed = replay_transcription(r.events, profiles[r.technique_id])
+                except ab.AbugidaError as err:
+                    lines.append(f"{r.session_id}\tERROR\t{err}")
+                    code = 3
+                    continue
+                if replay_matches(replayed, r.transcribed, ab.BENGALI_TABLE):
+                    lines.append(f"{r.session_id}\tMATCH")
+                else:
+                    lines.append(f"{r.session_id}\tMISMATCH\treplayed {replayed!r}, "
+                                 f"log says {r.transcribed!r}")
+                    code = 3
+            return code, "\n".join(lines) + "\n", ""
+    except ab.AbugidaError as err:
+        return 1, "", f"error: {err}\n"
+    return 0, data.decode("utf-8"), ""
+
+
+def faulty_log(rng: random.Random) -> list[str]:
+    """The lines of a sidebar log, each fault in it or not, at random places."""
+    sessions = max(0, rng.randrange(-2, 13))  # an empty log, at times
+    objs = [sidebar_log_obj(f"s{n}", f"p{n % 3}") for n in range(sessions)]
+    for fault in ("replay", "mismatch", "override", "technique", "unsorted"):
+        if not objs or rng.random() < 0.6:
+            continue
+        obj = rng.choice(objs)
+        if fault == "replay":
+            obj["events"].append({"t": 30000, "k": "edit", "p": ""})
+        elif fault == "mismatch":
+            obj["transcribed"] = "ক্ষণিকের অতিথি"
+        elif fault == "override":  # above the clusters only, or above both views
+            obj["inf_override"] = rng.choice([10, 1000])
+        elif fault == "technique":
+            obj["technique_id"] = rng.choice(["no-such-kbd", "other-kbd"])
+        else:  # out of order: a warning, logged as the line is parsed
+            obj["events"][2]["t"] = 99_000
+    lines = [json.dumps(obj, ensure_ascii=False) for obj in objs]
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["{oops", "[]"]))
+    if not objs:
+        lines += [""] * rng.randrange(3)  # an empty log, blank lines allowed
+    return lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--per-session"], ["analyze", "--per-session", "--format", "json"],
+    ["compare-naive"], ["validate-log"]], ids=["csv", "json", "compare", "validate"])
+@pytest.mark.parametrize("seed", range(40))
+def test_error_order_of_the_whole_parsed_log(capsys, caplog, monkeypatch, tmp_path,
+                                             sidebar_profile_file, argv, seed):
+    rng = random.Random(seed)
+    lines = faulty_log(rng)
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    full = [argv[0], str(log), "--profiles", sidebar_profile_file, *argv[1:]]
+    with caplog.at_level(logging.WARNING):
+        expected = reference_run(full)
+        warned = caplog.messages[:]
+        caplog.clear()
+        # Blocks of a few lines each, so faults fall in different blocks.
+        monkeypatch.setattr(cli, "_log_blocks", functools.partial(
+            cli._log_blocks, size=rng.randrange(200, 3000)))
+        assert run(capsys, *full) == expected
+        assert caplog.messages == warned
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare-naive"])

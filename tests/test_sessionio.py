@@ -953,9 +953,24 @@ class TestReportMemory:
         finally:
             tracemalloc.stop()
         assert len(json.loads(data)["sessions"]) == 2000
-        # The encoded rows and their join; rows joined as one str and
-        # then encoded took five times the report.
-        assert peak < 2.5 * len(data)
+        # The bytes, with the buffer's growth.  The encoded rows and their
+        # join took 2.3 times the report; rows joined as one str and then
+        # encoded took five times.
+        assert peak < 1.5 * len(data)
+
+    def test_per_session_csv_peak(self):
+        results = [session_metrics(f"s{n}") for n in range(2000)]
+        tracemalloc.start()
+        try:
+            data = write_analysis_report([summary()], results, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.count(b"\r\n") == 2000 + 4
+        # The bytes, with the buffer's growth, and the csv writer's own
+        # line buffer of 32768 UCS-4 characters.  A text copy of the rows
+        # and its encoding beside it took 3.7 times the report.
+        assert peak < 1.5 * len(data) + 4 * 32768
 
 
 class TestOtherWriters:
