@@ -718,6 +718,26 @@ class TestLogReleasedBeforeReport:
 class TestIngestInBlocks:
     """A log command reads the log a block at a time and never holds it whole."""
 
+    @pytest.mark.parametrize("sessions", [300, 1200])
+    def test_peak_beside_the_records(self, tmp_path, sidebar_profile_file,
+                                     sessions):
+        log = write_jsonl(tmp_path / "log.jsonl", [
+            sidebar_log_obj(f"s{n}", f"p{n}") for n in range(sessions)])
+        longest = max(map(len, Path(log).read_bytes().splitlines(keepends=True)))
+        args = argparse.Namespace(log=log, profiles=sidebar_profile_file)
+        records = []
+        tracemalloc.start()
+        try:
+            cli._score_log(args, ab.BENGALI_TABLE,
+                           lambda block, profiles: records.extend(block))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == sessions
+        # Beside the records its scorer keeps, reading the log holds a block
+        # or two, the line it parses and its own state, never the whole file.
+        assert peak - held < 3 * cli._BLOCK_BYTES + longest
+
     def test_validate_log_peak_grows_less_than_the_parsed_log(
             self, tmp_path, sidebar_profile_file):
         peaks, parsed = [], []
