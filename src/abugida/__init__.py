@@ -45,6 +45,7 @@ from .errors import (
 from .metrics import (
     DEFAULT_WORD_LENGTH_CHARS,
     METRIC_FIELDS,
+    MetricColumns,
     MetricConfig,
     SessionIntermediates,
     SessionMetrics,

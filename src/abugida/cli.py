@@ -8,7 +8,10 @@ that do not replay to their stored transcription.
 
 The log commands (analyze, compare-naive, validate-log) read the log in
 64 KiB blocks and score each block's sessions before reading the next,
-so they hold one block's records and the scores, never the parsed log.
+so they hold one block's records, never the parsed log.  A block's
+scores are added to running columns of metric values, from which the
+means come (``metrics.MetricColumns``), and then let go of; only
+``analyze --per-session`` keeps each score, until its row is written.
 Their errors come in the order of parsing the whole log first: a
 malformed line anywhere, then a log with no sessions, then every
 technique without a profile, then the first failing session in log
@@ -26,13 +29,16 @@ import logging
 import math
 import os
 import sys
+from collections import deque
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .bengali import BENGALI_TABLE, CharTable, segment_graphemes, to_output_stream
 from .errors import AbugidaError
 from .metrics import (
     DEFAULT_WORD_LENGTH_CHARS,
+    MetricColumns,
     MetricConfig,
+    SessionMetrics,
     aggregate,
     analyze_session,
     naive_metrics,
@@ -214,30 +220,43 @@ def _metric_config(args: argparse.Namespace) -> MetricConfig:
                         msd_cost_mode=args.msd_cost_mode)
 
 
+def _drain(scores: deque[SessionMetrics]) -> Iterator[SessionMetrics]:
+    """``scores`` in order, each let go of as the report draws it."""
+    while scores:
+        yield scores.popleft()
+
+
 def _cmd_analyze(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     config = _metric_config(args)
-    results = []
+    columns, kept = MetricColumns(), deque()
 
     def score(records, profiles):
-        results.extend([analyze_session(r, profiles[r.technique_id], config)
-                         for r in records])
+        scores = [analyze_session(r, profiles[r.technique_id], config)
+                  for r in records]
+        aggregate(scores, into=columns)
+        if args.per_session:
+            kept.extend(scores)
 
     _score_log(args, table, score)
     return EXIT_OK, write_analysis_report(
-        aggregate(results), results if args.per_session else None, args.format)
+        aggregate(columns), _drain(kept) if args.per_session else None, args.format)
 
 
 def _cmd_compare_naive(args: argparse.Namespace, table: CharTable) -> tuple[int, bytes]:
     config = _metric_config(args)
-    proposed, naive = [], []
+    proposed, naive = MetricColumns(), MetricColumns()
 
-    # Each view makes every session-level check, so the first failing
-    # session in log order raises first, as when one view scored them all.
+    # Both views score a session before the next one is scored, so the first
+    # failing session in log order raises first, and the second view reuses
+    # the session's replay (see metrics._prepare).
     def score(records, profiles):
+        ours, theirs = [], []
         for record in records:
             profile = profiles[record.technique_id]
-            proposed.append(analyze_session(record, profile, config))
-            naive.append(naive_metrics(record, profile, config))
+            ours.append(analyze_session(record, profile, config))
+            theirs.append(naive_metrics(record, profile, config))
+        aggregate(ours, into=proposed)
+        aggregate(theirs, into=naive)
 
     _score_log(args, table, score)
     return EXIT_OK, write_compare_report(aggregate(proposed), aggregate(naive),

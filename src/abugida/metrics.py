@@ -20,16 +20,23 @@ clusters instead of constituents, reproducing the older convention for
 side-by-side comparison.  The clusters are cut from the same output
 stream, so zero-width controls count in neither view.  On conjunct-free
 text the two agree exactly; conjuncts pull the naive lengths down and
-distort rates.
+distort rates.  Scoring a session in one view and then in the other
+replays it once: the work that no view depends on is kept for the last
+session scored.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .bengali import BENGALI_TABLE, segment_graphemes, to_output_stream
+from .bengali import (BENGALI_TABLE, CharTable, OutputStream, segment_graphemes,
+                      to_output_stream)
 from .errors import (
     AbugidaError,
     EmptyGroupError,
@@ -41,8 +48,8 @@ from .errors import (
     ZeroDurationError,
 )
 from .msd import CostMode, CostModel, TechniqueProfile, align_symbols, msd
-from .streams import (build_input_stream, replay_events, replay_matches,
-                      session_duration_s)
+from .streams import (ReplayResult, build_input_stream, replay_events,
+                      replay_matches, session_duration_s)
 
 if TYPE_CHECKING:
     from .sessionio import SessionRecord
@@ -51,6 +58,7 @@ __all__ = [
     "DEFAULT_WORD_LENGTH_CHARS",
     "METRIC_FIELDS",
     "RATE_FIELDS",
+    "MetricColumns",
     "MetricConfig",
     "SessionIntermediates",
     "SessionMetrics",
@@ -93,7 +101,7 @@ class MetricConfig:
             raise ValueError("word length must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionIntermediates:
     """Audit trail of the quantities the metrics were computed from.
 
@@ -113,7 +121,7 @@ class SessionIntermediates:
     fixes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionMetrics:
     session_id: str
     technique_id: str
@@ -195,29 +203,44 @@ def total_error_rate(correct: int, incorrect_not_fixed: int,
     return (incorrect_not_fixed + incorrect_fixed) / denom * 100.0
 
 
-def _evaluate(session: "SessionRecord",
-              profile: TechniqueProfile | None,
-              config: MetricConfig,
-              naive: bool) -> SessionMetrics:
-    table = BENGALI_TABLE if profile is None else profile.table
-    cost = CostModel(config.msd_cost_mode)
+@dataclass(frozen=True, slots=True)
+class _Prepared:
+    """What scoring a session takes before any view counts its symbols."""
 
-    # The view's symbols: grapheme clusters aligned without unit costs, or
-    # the output stream's constituents.  Erased atoms are counted in them too.
-    if naive:
-        symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
-        align = lambda t, p: align_symbols(t, p, None, None, cost, script=False)
-    else:
-        symbols = lambda text: to_output_stream(text, table)
-        align = lambda t, p: msd(t, p, profile, cost, script=False)
+    os_p: OutputStream
+    os_t: OutputStream
+    is_length: int
+    seconds: float
+    replay: ReplayResult
+    inf_override: int | None
+
+
+# The last session prepared: a weak reference to it, its profile and what
+# was prepared.  The reference keeps the memo from holding the record.
+_last_prepared: tuple[weakref.ref, TechniqueProfile | None, _Prepared] | None = None
+
+
+def _prepare(session: "SessionRecord", profile: TechniqueProfile | None,
+             table: CharTable) -> _Prepared:
+    """Flatten, time and replay ``session``, making every check on the way.
+
+    None of this depends on the view, and ``compare-naive`` scores each
+    session in both views one after the other, so the last session
+    prepared, under the last profile, is kept and handed to the second
+    view as it is: a session's texts are flattened and its events
+    replayed once.  A failing session is not kept, so each view raises
+    its error.
+    """
+    global _last_prepared
+    last = _last_prepared
+    if last is not None and last[0]() is session and last[1] is profile:
+        return last[2]
     # Most transcriptions equal their presented text (1109 of the 2000 in the
-    # benchmark's study log); those are flattened or cut once.
-    sym_p = symbols(session.presented)
-    sym_t = (sym_p if session.transcribed == session.presented
-             else symbols(session.transcribed))
-    p_len, t_len = len(sym_p), len(sym_t)
-    alignment = align(sym_t, sym_p)
-    if t_len == 0:
+    # benchmark's study log); those are flattened once.
+    os_p = to_output_stream(session.presented, table)
+    os_t = (os_p if session.transcribed == session.presented
+            else to_output_stream(session.transcribed, table))
+    if not os_t.text:
         raise EmptyTranscriptionError("transcribed text is empty")
 
     stream = build_input_stream(session.events)
@@ -231,12 +254,39 @@ def _evaluate(session: "SessionRecord",
             f"{session.transcribed!r}")
     # An override above the constituent |OS_T| would make C negative.  Both
     # views bound it by that count, so they accept the same sessions.
-    inf = alignment.inf
-    if session.inf_override is not None:
-        inf = session.inf_override
-        if inf > len(replay.text):
-            raise ParseError(f"{inf} exceeds the {len(replay.text)} constituents "
-                             "of the transcription", field="inf_override")
+    inf = session.inf_override
+    if inf is not None and inf > len(replay.text):
+        raise ParseError(f"{inf} exceeds the {len(replay.text)} constituents "
+                         "of the transcription", field="inf_override")
+    prepared = _Prepared(os_p, os_t, len(stream), seconds, replay, inf)
+    _last_prepared = (weakref.ref(session), profile, prepared)
+    return prepared
+
+
+def _evaluate(session: "SessionRecord",
+              profile: TechniqueProfile | None,
+              config: MetricConfig,
+              naive: bool) -> SessionMetrics:
+    table = BENGALI_TABLE if profile is None else profile.table
+    prepared = _prepare(session, profile, table)
+    cost = CostModel(config.msd_cost_mode)
+
+    # The view's symbols: grapheme clusters aligned without unit costs, or
+    # the output stream's constituents.  Erased atoms are counted in them too.
+    # segment_graphemes flattens the text it cuts, so it gets the session's.
+    if naive:
+        symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
+        sym_p = symbols(session.presented)
+        sym_t = (sym_p if session.transcribed == session.presented
+                 else symbols(session.transcribed))
+        alignment = align_symbols(sym_t, sym_p, None, None, cost, script=False)
+    else:
+        symbols = lambda text: to_output_stream(text, table)
+        sym_p, sym_t = prepared.os_p, prepared.os_t
+        alignment = msd(sym_t, sym_p, profile, cost, script=False)
+    p_len, t_len = len(sym_p), len(sym_t)
+    replay = prepared.replay
+    inf = alignment.inf if prepared.inf_override is None else prepared.inf_override
     # An atom of one codepoint is output-stream text, so it is one symbol in
     # either view; only unit atoms are split.
     incorrect_fixed = sum(len(symbols(atom)) if len(atom) > 1 else 1
@@ -249,18 +299,18 @@ def _evaluate(session: "SessionRecord",
         session_id=session.session_id,
         technique_id=session.technique_id,
         participant_id=session.participant_id,
-        wpm_bn=wpm_bn(t_len, seconds, config.word_length_chars),
-        kspc_bn=kspc_bn(len(stream), t_len),
+        wpm_bn=wpm_bn(t_len, prepared.seconds, config.word_length_chars),
+        kspc_bn=kspc_bn(prepared.is_length, t_len),
         er_bn=er_bn(inf, t_len),
         msder_bn=msder_bn(alignment.distance, p_len, t_len),
         total_error_rate=total_error_rate(correct, inf, incorrect_fixed),
         intermediates=SessionIntermediates(
-            is_length=len(stream),
+            is_length=prepared.is_length,
             os_p_length=p_len,
             os_t_length=t_len,
             inf=inf,
             msd=alignment.distance,
-            seconds=seconds,
+            seconds=prepared.seconds,
             correct=correct,
             incorrect_fixed=incorrect_fixed,
             fixes=fixes,
@@ -302,22 +352,62 @@ def naive_metrics(session: "SessionRecord",
         raise
 
 
-def aggregate(results: Sequence[SessionMetrics]) -> list[TechniqueSummary]:
+class MetricColumns(dict[str, tuple[array, ...]]):
+    """Running per-technique columns of the five metric values.
+
+    Each technique id maps to one ``array('d')`` per metric, in
+    :data:`METRIC_FIELDS` order, a value per session.  ``aggregate(scores,
+    into=columns)`` adds a block of scores to them and ``aggregate(columns)``
+    gives their means, so a log is summarized without keeping its
+    :class:`SessionMetrics`.
+    """
+
+
+_TECHNIQUE = attrgetter("technique_id")
+_METRIC_VALUES = tuple(map(attrgetter, METRIC_FIELDS))
+
+
+def _add_columns(results: Sequence[SessionMetrics], into: MetricColumns) -> None:
+    """Append each session's metric values to its technique's columns."""
+    for technique_id, group in groupby(sorted(results, key=_TECHNIQUE), _TECHNIQUE):
+        rows = list(group)
+        columns = into.get(technique_id)
+        if columns is None:
+            columns = into[technique_id] = tuple(array("d") for _ in METRIC_FIELDS)
+        for column, value in zip(columns, _METRIC_VALUES):
+            column.extend(map(value, rows))
+
+
+def aggregate(results: Sequence[SessionMetrics] | MetricColumns,
+              into: MetricColumns | None = None) -> list[TechniqueSummary] | None:
     """Group sessions by technique and summarize each metric.
 
     Means use every session in the group.  ``math.fsum`` rounds the sum
     correctly, so the result is identical under any permutation of the
     input, and techniques come out in lexicographic order.
+
+    With ``into``, the sessions' values are added to those columns instead
+    and nothing is returned; ``aggregate(into)`` then summarizes every
+    session added.  The columns hold the very floats that the sessions
+    do, and a correctly rounded sum does not depend on their order, so
+    means summed block by block are the same floats as from one list of
+    all the sessions.  The values are copied a technique at a time, by
+    C-level ``array.extend``, never a session at a time in Python.
     """
-    if not results:
+    if into is not None:
+        _add_columns(results, into)
+        return None
+    columns = results
+    if not isinstance(columns, MetricColumns):
+        columns = MetricColumns()
+        _add_columns(results, columns)
+    if not columns:
         raise EmptyGroupError("no sessions to aggregate")
-    groups: dict[str, list[SessionMetrics]] = {}
-    for r in results:
-        groups.setdefault(r.technique_id, []).append(r)
     out: list[TechniqueSummary] = []
-    for technique_id in sorted(groups):
-        rows = groups[technique_id]
-        means = {metric: math.fsum(getattr(r, metric) for r in rows) / len(rows)
-                 for metric in METRIC_FIELDS}
-        out.append(TechniqueSummary(technique_id, len(rows), means))
+    for technique_id in sorted(columns):
+        values = columns[technique_id]
+        n = len(values[0])
+        means = {metric: math.fsum(column) / n
+                 for metric, column in zip(METRIC_FIELDS, values)}
+        out.append(TechniqueSummary(technique_id, n, means))
     return out

@@ -674,19 +674,18 @@ def _summary_table(summaries: "Sequence[TechniqueSummary]") -> _Table:
         for s in sorted(summaries, key=lambda s: s.technique_id)]
 
 
-def _session_table(results: "Sequence[SessionMetrics]") -> _Table:
+def _session_table(results: "Iterable[SessionMetrics]") -> _Table:
     """The per-session table, its rows made one at a time as they are drawn."""
     return _SESSION_COLUMNS, (
         {"session_id": m.session_id, "technique_id": m.technique_id,
          "participant_id": m.participant_id,
          **{f: _Metric(f, getattr(m, f)) for f in METRIC_FIELDS},
-         # Not vars(): from Python 3.11 it gives each object a dict to keep.
          **{f: getattr(m.intermediates, f) for f in _INTERMEDIATE_FIELDS}}
         for m in results)
 
 
 def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
-                          sessions: "Sequence[SessionMetrics] | None" = None,
+                          sessions: "Iterable[SessionMetrics] | None" = None,
                           fmt: str = "csv") -> bytes:
     """The report of ``analyze``: an optional per-session block, then the summary.
 
@@ -695,7 +694,9 @@ def write_analysis_report(summaries: "Sequence[TechniqueSummary]",
     Session rows add the audit intermediates.  JSON carries the same
     numbers rounded to two decimals, without suffixes: the summary alone
     is a list of rows, with sessions an object of both.  Output is
-    byte-deterministic for a given input.
+    byte-deterministic for a given input.  ``sessions`` is drawn once, a
+    row at a time, so an iterator that lets go of each score as it is
+    drawn holds no score beyond its row.
     """
     tables = {} if sessions is None else {"sessions": _session_table(sessions)}
     tables["summary"] = _summary_table(summaries)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
@@ -18,11 +19,14 @@ from pathlib import Path
 import pytest
 
 import abugida as ab
-from abugida import cli
+from abugida import cli, metrics
 from abugida.cli import main
 from abugida.sessionio import write_analysis_report, write_compare_report
 from abugida.streams import replay_matches, replay_transcription
 from conftest import sidebar_log_obj, sidebar_profile_obj, write_json, write_jsonl
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -715,6 +719,63 @@ class TestLogReleasedBeforeReport:
         assert (len(records), alive) == (2, [0])
 
 
+class WatchedMetrics(ab.SessionMetrics):
+    """A score that a weak reference can watch: SessionMetrics has slots."""
+
+
+class TestOnePassPerSession:
+    """compare-naive prepares a session once for both views; analyze lets go of
+    each score once its row is made."""
+
+    def test_compare_naive_replays_and_times_each_session_once(
+            self, capsys, monkeypatch):
+        seen = {"replay_events": [], "build_input_stream": []}
+        for name, events in seen.items():
+            def counted(first, *args, _fn=getattr(metrics, name), _events=events):
+                _events.append(first)
+                return _fn(first, *args)
+            monkeypatch.setattr(metrics, name, counted)
+        log = GOLDEN / "log.jsonl"
+        sessions = len(ab.parse_session_log(log.read_bytes()))
+        code, out, err = run(capsys, "compare-naive", str(log),
+                             "--profiles", str(GOLDEN / "profiles"))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "expected" / "compare.csv").read_bytes().decode()
+        for events in seen.values():
+            assert len(events) == len(set(map(id, events))) == sessions
+
+    def test_analyze_lets_go_of_each_score_as_its_row_is_made(
+            self, capsys, monkeypatch, tmp_path, sidebar_profile_file):
+        scores, alive = [], []
+        score, write = cli.analyze_session, cli.write_analysis_report
+
+        def watched_score(*args):
+            result = score(*args)
+            result = WatchedMetrics(*(getattr(result, f.name)
+                                      for f in dataclasses.fields(result)))
+            scores.append(weakref.ref(result))
+            return result
+
+        def watched_write(summaries, sessions, fmt):
+            def drawn():
+                for m in sessions:
+                    alive.append(sum(ref() is not None for ref in scores))
+                    yield m
+            return write(summaries, drawn(), fmt)
+
+        monkeypatch.setattr(cli, "analyze_session", watched_score)
+        monkeypatch.setattr(cli, "write_analysis_report", watched_write)
+        log = write_jsonl(tmp_path / "log.jsonl", [
+            sidebar_log_obj(f"s{n}", f"p{n}") for n in range(6)])
+        code, out, _ = run(capsys, "analyze", log, "--profiles", sidebar_profile_file,
+                           "--per-session")
+        assert code == 0
+        assert out.count("\r\ns") == 6
+        # Each row drawn leaves the score being drawn, the one before it
+        # (held by the writer until it draws the next) and those to come.
+        assert alive == [6, 6, 5, 4, 3, 2]
+
+
 class TestIngestInBlocks:
     """A log command reads the log a block at a time and never holds it whole."""
 
@@ -763,6 +824,34 @@ class TestIngestInBlocks:
         # to the run's peak: 0.20 MB here.  Holding the parsed log would add
         # its 900 more records, the 0.78 MB that the second measure counts.
         assert peaks[1] - peaks[0] < (parsed[1] - parsed[0]) / 2
+
+    def test_compare_naive_peak_grows_less_than_its_scores(
+            self, tmp_path, sidebar_profile_file):
+        profile = ab.parse_technique_profile(Path(sidebar_profile_file).read_bytes())
+        peaks, scored = [], []
+        for sessions in (300, 1200):
+            log = write_jsonl(tmp_path / f"log{sessions}.jsonl", [
+                sidebar_log_obj(f"s{n}", f"p{n}") for n in range(sessions)])
+            argv = ["compare-naive", log, "--profiles", sidebar_profile_file,
+                    "--out", str(tmp_path / "out.csv")]
+            assert main(argv) == 0  # warm: the first run fills caches
+            records = ab.parse_session_log(Path(log).read_bytes())
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                before = tracemalloc.get_traced_memory()[0]
+                scores = [view(r, profile) for r in records
+                          for view in (ab.analyze_session, ab.naive_metrics)]
+                scored.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(scores) == 2 * sessions
+            del records, scores
+        # 900 more sessions add their ids (LogState) and their metric values
+        # in both views' columns to the run's peak.  Keeping their scores
+        # would add the 1800 SessionMetrics that the second measure counts.
+        assert peaks[1] - peaks[0] < (scored[1] - scored[0]) / 2
 
     def test_one_parse_per_block(self, capsys, monkeypatch, tmp_path,
                                  sidebar_profile_file):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abugida as ab
+from abugida import metrics
 from conftest import PRESENTED, TRANSCRIBED
 
 
@@ -316,6 +321,53 @@ class TestNaiveMetrics:
         assert info.value.session_id == "tampered-2"
 
 
+class TestBothViewsPrepareOnce:
+    """A session scored in one view and then the other is replayed once."""
+
+    def test_the_second_view_reuses_the_replay(self, monkeypatch, sidebar_record,
+                                               sidebar_profile):
+        calls = []
+        replay = metrics.replay_events
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(metrics, "replay_events", counted)
+        proposed = ab.analyze_session(sidebar_record, sidebar_profile)
+        naive = ab.naive_metrics(sidebar_record, sidebar_profile)
+        assert len(calls) == 1
+        # The scores of each view alone, on a copy that the memo does not know.
+        copy = dataclasses.replace(sidebar_record)
+        assert naive == ab.naive_metrics(copy, sidebar_profile)
+        assert proposed == ab.analyze_session(copy, sidebar_profile)
+        assert len(calls) == 2
+
+    def test_another_profile_is_prepared_again(self, sidebar_profile):
+        # A unit that the permissive replay accepts and the profile does not.
+        rec = record("কখ", "কখ", [ev(0, "unit", "কখ"), ev(500, "mod")],
+                     session_id="u1")
+        ab.analyze_session(rec, None)
+        with pytest.raises(ab.UnknownUnitError) as info:
+            ab.naive_metrics(rec, sidebar_profile)
+        assert info.value.session_id == "u1"
+
+    def test_a_failing_session_fails_in_both_views(self):
+        rec = record("কখ", "কখ", clean_events("ক"), session_id="tampered-3")
+        for view in (ab.analyze_session, ab.naive_metrics):
+            with pytest.raises(ab.TranscriptionMismatchError) as info:
+                view(rec, None)
+            assert info.value.session_id == "tampered-3"
+
+    def test_the_memo_does_not_keep_the_record(self, sidebar_record, sidebar_profile):
+        rec = dataclasses.replace(sidebar_record)
+        alive = weakref.ref(rec)
+        ab.analyze_session(rec, sidebar_profile)
+        del rec
+        gc.collect()
+        assert alive() is None
+
+
 class TestAggregate:
     def _metrics(self, technique, wpm, n="x"):
         i = ab.SessionIntermediates(10, 10, 10, 0, 0.0, 10.0, 10, 0, 0)
@@ -339,6 +391,71 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ab.EmptyGroupError):
             ab.aggregate([])
+        with pytest.raises(ab.EmptyGroupError):
+            ab.aggregate(ab.MetricColumns())
+
+    def test_folding_returns_nothing_and_keeps_one_column_per_metric(self):
+        columns = ab.MetricColumns()
+        assert ab.aggregate([], into=columns) is None
+        rows = [self._metrics("t", 6.0, 1), self._metrics("u", 2.0, 2),
+                self._metrics("t", 8.0, 3)]
+        assert ab.aggregate(rows, into=columns) is None
+        assert list(columns) == ["t", "u"]
+        assert [list(c) for c in columns["t"]] == [
+            [6.0, 8.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert ab.aggregate(columns) == ab.aggregate(rows)
+
+    def test_scores_have_slots_and_keep_repr_and_equality(self):
+        m = self._metrics("t", 6.0)
+        assert not hasattr(m, "__dict__")
+        assert not hasattr(m.intermediates, "__dict__")
+        assert m == self._metrics("t", 6.0) != self._metrics("t", 7.0)
+        assert repr(m) == (
+            "SessionMetrics(session_id='s-t-x', technique_id='t', "
+            "participant_id='p', wpm_bn=6.0, kspc_bn=1.0, er_bn=0.0, "
+            "msder_bn=0.0, total_error_rate=0.0, intermediates="
+            "SessionIntermediates(is_length=10, os_p_length=10, os_t_length=10, "
+            "inf=0, msd=0.0, seconds=10.0, correct=10, incorrect_fixed=0, "
+            "fixes=0))")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.wpm_bn = 1.0
+
+
+# Zero, the subnormals, the largest magnitudes that cannot overflow a sum of
+# a few dozen, and anything between.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1e300, -1e300, 1.0, 0.1]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_wise_means_equal_one_list_bit_for_bit(data):
+    techniques = data.draw(st.lists(st.sampled_from(["a", "b", "c"]),
+                                    min_size=1, max_size=40))
+    intermediates = ab.SessionIntermediates(1, 1, 1, 0, 0.0, 1.0, 1, 0, 0)
+    rows = [ab.SessionMetrics(f"s{n}", t, "p",
+                              *data.draw(st.tuples(*[_VALUES] * 5)), intermediates)
+            for n, t in enumerate(techniques)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=8)))
+    columns = ab.MetricColumns()
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        ab.aggregate(rows[lo:hi], into=columns)
+
+    def bits(summaries):
+        return [(s.technique_id, s.n_sessions,
+                 [s.means[m].hex() for m in ab.METRIC_FIELDS]) for s in summaries]
+
+    whole = bits(ab.aggregate(rows))
+    assert bits(ab.aggregate(columns)) == whole
+    # The sum of one list of each technique's values, as it was taken
+    # before the columns.
+    assert whole == [
+        (t, len(group), [(math.fsum(getattr(r, m) for r in group) / len(group)).hex()
+                         for m in ab.METRIC_FIELDS])
+        for t in sorted(set(techniques))
+        for group in [[r for r in rows if r.technique_id == t]]]
 
 
 class TestMetricConfig:
