@@ -19,6 +19,7 @@ from .bengali import (
     CharTable,
     CodepointClass,
     GraphemeCluster,
+    GraphemeClusters,
     OutputStream,
     normalize,
     recompose,

@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cached_property
@@ -56,6 +57,7 @@ __all__ = [
     "BasicChar",
     "OutputStream",
     "GraphemeCluster",
+    "GraphemeClusters",
     "CharTable",
     "BENGALI_TABLE",
     "ZERO_WIDTH_CONTROLS",
@@ -179,6 +181,40 @@ class GraphemeCluster:
     @property
     def constituent_count(self) -> int:
         return len(self.text)
+
+
+class GraphemeClusters(Sequence[GraphemeCluster]):
+    """A text's grapheme clusters, held as their texts.
+
+    Indexing or iterating builds :class:`GraphemeCluster` objects, the
+    way iterating an OutputStream builds BasicChars; a slice is a list of
+    them.  ``texts`` is the tuple of the clusters' texts, and two
+    sequences are equal when their texts are.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: Iterable[str]) -> None:
+        self.texts = tuple(texts)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index: int | slice) -> GraphemeCluster | list[GraphemeCluster]:
+        if isinstance(index, slice):
+            return list(map(GraphemeCluster, self.texts[index]))
+        return GraphemeCluster(self.texts[index])
+
+    def __iter__(self) -> Iterator[GraphemeCluster]:
+        return map(GraphemeCluster, self.texts)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is GraphemeClusters:
+            return self.texts == other.texts
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"GraphemeClusters({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -377,8 +413,16 @@ def recompose(stream: OutputStream) -> str:
     return stream.text
 
 
-def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[GraphemeCluster]:
+def segment_graphemes(text: str | OutputStream,
+                      table: CharTable = BENGALI_TABLE) -> GraphemeClusters:
     """Split the output stream of ``text`` into visual grapheme clusters.
+
+    ``text`` is a string, which is flattened under ``table`` first, or an
+    :class:`OutputStream` already flattened under ``table``, whose text
+    is cut as it is.  The clusters come back as a
+    :class:`GraphemeClusters`, which holds their texts and builds a
+    :class:`GraphemeCluster` only when one is indexed or iterated, so a
+    caller that wants the texts reads ``.texts`` and builds none.
 
     Each codepoint of the output-stream text opens a new cluster, unless
     the previous codepoint is neither whitespace nor a digit and the
@@ -402,5 +446,6 @@ def segment_graphemes(text: str, table: CharTable = BENGALI_TABLE) -> list[Graph
     zero-width controls: they concatenate to it under any table, and
     their constituent counts sum to its length.
     """
-    text = to_output_stream(text, table).text
-    return list(map(GraphemeCluster, table._cluster_pattern.findall(text)))
+    if not isinstance(text, OutputStream):
+        text = to_output_stream(text, table)
+    return GraphemeClusters(table._cluster_pattern.findall(text.text))

@@ -18,11 +18,11 @@ Bengali corpus average; pass your own for a different corpus (see the
 ``naive_metrics`` runs the same pipeline and replay over grapheme
 clusters instead of constituents, reproducing the older convention for
 side-by-side comparison.  The clusters are cut from the same output
-stream, so zero-width controls count in neither view.  On conjunct-free
-text the two agree exactly; conjuncts pull the naive lengths down and
-distort rates.  Scoring a session in one view and then in the other
-replays it once: the work that no view depends on is kept for the last
-session scored.
+streams, as texts, so zero-width controls count in neither view.  On
+conjunct-free text the two agree exactly; conjuncts pull the naive
+lengths down and distort rates.  Scoring a session in one view and then
+in the other replays it once: the work that no view depends on is kept
+for the last session scored.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -263,22 +263,25 @@ def _prepare(session: "SessionRecord", profile: TechniqueProfile | None,
     return prepared
 
 
+# Cost models are immutable, so every session shares its mode's.
+_COST_MODELS = {mode: CostModel(mode) for mode in CostMode}
+
+
 def _evaluate(session: "SessionRecord",
               profile: TechniqueProfile | None,
               config: MetricConfig,
               naive: bool) -> SessionMetrics:
     table = BENGALI_TABLE if profile is None else profile.table
     prepared = _prepare(session, profile, table)
-    cost = CostModel(config.msd_cost_mode)
+    cost = _COST_MODELS[config.msd_cost_mode]
 
     # The view's symbols: grapheme clusters aligned without unit costs, or
     # the output stream's constituents.  Erased atoms are counted in them too.
-    # segment_graphemes flattens the text it cuts, so it gets the session's.
+    # The session's clusters are cut from its prepared streams, as texts.
     if naive:
-        symbols = lambda text: tuple(c.text for c in segment_graphemes(text, table))
-        sym_p = symbols(session.presented)
-        sym_t = (sym_p if session.transcribed == session.presented
-                 else symbols(session.transcribed))
+        symbols = lambda text: segment_graphemes(text, table).texts
+        sym_p = symbols(prepared.os_p)
+        sym_t = sym_p if prepared.os_t is prepared.os_p else symbols(prepared.os_t)
         alignment = align_symbols(sym_t, sym_p, None, None, cost, script=False)
     else:
         symbols = lambda text: to_output_stream(text, table)
@@ -352,30 +355,29 @@ def naive_metrics(session: "SessionRecord",
         raise
 
 
-class MetricColumns(dict[str, tuple[array, ...]]):
-    """Running per-technique columns of the five metric values.
+class MetricColumns(dict[str, array]):
+    """Running per-technique metric values, a row of five per session.
 
-    Each technique id maps to one ``array('d')`` per metric, in
-    :data:`METRIC_FIELDS` order, a value per session.  ``aggregate(scores,
-    into=columns)`` adds a block of scores to them and ``aggregate(columns)``
-    gives their means, so a log is summarized without keeping its
-    :class:`SessionMetrics`.
+    Each technique id maps to one ``array('d')`` that holds its sessions'
+    metric values row after row, each row in :data:`METRIC_FIELDS` order,
+    so metric k of the technique is ``columns[technique_id][k::5]``.
+    ``aggregate(scores, into=columns)`` adds a block of scores to them and
+    ``aggregate(columns)`` gives their means, so a log is summarized
+    without keeping its :class:`SessionMetrics`.
     """
 
 
 _TECHNIQUE = attrgetter("technique_id")
-_METRIC_VALUES = tuple(map(attrgetter, METRIC_FIELDS))
+_METRIC_ROW = attrgetter(*METRIC_FIELDS)
 
 
-def _add_columns(results: Sequence[SessionMetrics], into: MetricColumns) -> None:
-    """Append each session's metric values to its technique's columns."""
+def _add_rows(results: Sequence[SessionMetrics], into: MetricColumns) -> None:
+    """Append each session's metric values to its technique's array."""
     for technique_id, group in groupby(sorted(results, key=_TECHNIQUE), _TECHNIQUE):
-        rows = list(group)
-        columns = into.get(technique_id)
-        if columns is None:
-            columns = into[technique_id] = tuple(array("d") for _ in METRIC_FIELDS)
-        for column, value in zip(columns, _METRIC_VALUES):
-            column.extend(map(value, rows))
+        values = into.get(technique_id)
+        if values is None:
+            values = into[technique_id] = array("d")
+        values.fromlist(list(chain.from_iterable(map(_METRIC_ROW, group))))
 
 
 def aggregate(results: Sequence[SessionMetrics] | MetricColumns,
@@ -391,23 +393,25 @@ def aggregate(results: Sequence[SessionMetrics] | MetricColumns,
     session added.  The columns hold the very floats that the sessions
     do, and a correctly rounded sum does not depend on their order, so
     means summed block by block are the same floats as from one list of
-    all the sessions.  The values are copied a technique at a time, by
-    C-level ``array.extend``, never a session at a time in Python.
+    all the sessions.  A block is added a technique at a time, each
+    technique's rows by one C-level ``array.fromlist``, never a session at
+    a time in Python.
     """
     if into is not None:
-        _add_columns(results, into)
+        _add_rows(results, into)
         return None
     columns = results
     if not isinstance(columns, MetricColumns):
         columns = MetricColumns()
-        _add_columns(results, columns)
+        _add_rows(results, columns)
     if not columns:
         raise EmptyGroupError("no sessions to aggregate")
+    width = len(METRIC_FIELDS)
     out: list[TechniqueSummary] = []
     for technique_id in sorted(columns):
         values = columns[technique_id]
-        n = len(values[0])
-        means = {metric: math.fsum(column) / n
-                 for metric, column in zip(METRIC_FIELDS, values)}
+        n = len(values) // width
+        means = {metric: math.fsum(values[k::width]) / n
+                 for k, metric in enumerate(METRIC_FIELDS)}
         out.append(TechniqueSummary(technique_id, n, means))
     return out

@@ -39,7 +39,10 @@ sequences are all matches, the one path of cost 0.  A common suffix in
 which no unit ends is matched outside the band: no unit step reaches it,
 and a match there is never dearer than a delete or an insert.  Without
 units or a script every step costs its width, so INF is the plain edit
-distance, computed with bit vectors (Myers 1999; Hyyrö 2001).
+distance, computed with bit vectors (Myers 1999; Hyyrö 2001).  That
+unit-free distance, which also bounds the band, is computed on the
+pair's differing core: a common prefix and a common suffix are cut
+first, as neither changes a unit-cost edit distance.
 """
 
 from __future__ import annotations
@@ -346,10 +349,20 @@ def _matches(a: tuple[str, ...], b: tuple[str, ...], i: int, j: int,
 def _bit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     """Unit-cost edit distance, by bit vectors (Myers 1999; Hyyrö 2001).
 
-    Bit i of ``pv``/``mv`` says whether the current column's cell in row
-    i + 1 is one more or one less than the cell above it; ``score`` is the
-    last row's cell.  Each symbol of b advances every row at once.
+    The common prefix and suffix are cut first: neither changes a unit-cost
+    distance (see :func:`align_symbols`).  Bit i of ``pv``/``mv`` says
+    whether the current column's cell in row i + 1 is one more or one less
+    than the cell above it; ``score`` is the last row's cell.  Each symbol
+    of b advances every row at once.
     """
+    m, n = len(a), len(b)
+    p = 0
+    while p < m and p < n and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < m - p and s < n - p and a[m - 1 - s] == b[n - 1 - s]:
+        s += 1
+    a, b = a[p:m - s], b[p:n - s]
     if not a:
         return len(b)
     peq: dict[str, int] = {}  # symbol -> the rows of a that hold it
@@ -499,6 +512,18 @@ def align_symbols(a: Sequence[str],
       and adds its width 1 to INF, or 0 and 0 for a match, so INF equals
       the unit-cost distance on every path.  :func:`_bit_distance`
       computes it in O(n·⌈m/w⌉) word operations.
+
+    :func:`_bit_distance`, which gives U as well as the last shortcut's
+    distance, cuts the pair's common prefix and common suffix, whatever
+    the unit maps hold, before its bit-vector pass.  Both cuts are exact
+    for the unit-cost distance: when every step costs 1, neighbouring
+    cells of the table differ by at most 1, so the cells above and left
+    of (i, j) cost at least D(i − 1, j − 1) − 1, and where a[i−1] = b[j−1]
+    the match into (i, j) is never beaten.  So a common suffix is matched
+    on an optimal path, and, read backwards, so is a common prefix.  The
+    band pass cuts no prefix: with unit costs a cut prefix is not exact
+    even where no unit crosses its end, as a unit step inside it can
+    begin a path cheaper than its matches.
     """
     a = tuple(a)
     b = tuple(b)

@@ -6,7 +6,8 @@ and backtracks a stored backpointer table, with the same tie order
 The banded aligner must give the same INF and edit script, and the
 exact distance correctly rounded to a float; so must the shortcuts that
 skip the band: equal streams, a common suffix that ends no unit, and the
-bit-vector distance of unit-free pairs.  No cell of the exact table may
+bit-vector distance of unit-free pairs, which cuts a shared prefix and
+suffix whatever the units.  No cell of the exact table may
 cost less, forward plus backward, than the lower bound that sizes the
 band.
 """
@@ -324,6 +325,54 @@ def test_a_unit_inside_the_common_suffix_stops_the_trim():
     # Trimmed past a's unit ab, the pair would cost 2.0 instead of 1.5.
     assert_aligns_exactly("aba", "aaaba", {2: 2}, {4: 2})
     assert align_symbols("aba", "aaaba", {2: 2}, {4: 2}).distance == 1.5
+
+
+@st.composite
+def prefix_pairs(draw):
+    """Two texts that share a long prefix, and unit maps for them, or none.
+
+    Units end anywhere in the two tails.  Each side may also hold units
+    that lie wholly inside the shared prefix, one that ends exactly where
+    it ends, or one that starts inside it and ends in the tail.  A cut of
+    the prefix is not exact with units: one inside it can start a path
+    cheaper than its matches.
+    """
+    prefix = draw(st.text("abc", min_size=4, max_size=12))
+    tails = [draw(st.text("abc", max_size=6)) for _ in range(2)]
+    if not draw(st.booleans()):
+        return prefix + tails[0], prefix + tails[1], {}, {}
+    maps = []
+    for tail in tails:
+        units = {len(prefix) + end: k for end, k in draw(unit_maps(len(tail))).items()}
+        placement = draw(st.sampled_from(("none", "inside it", "at its end", "across it")))
+        if placement == "inside it":
+            units.update(draw(unit_maps(len(prefix) - 1)))
+        elif placement == "at its end":
+            units[len(prefix)] = draw(st.integers(1, min(5, len(prefix))))
+        elif placement == "across it" and tail:
+            into = draw(st.integers(1, min(4, len(tail))))
+            units[len(prefix) + into] = draw(st.integers(into + 1, 5))
+        maps.append(units)
+    return prefix + tails[0], prefix + tails[1], maps[0], maps[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_pairs())
+def test_common_prefix_pairs_match_full_table(pair):
+    # The band pass cuts no prefix; the bit-vector bound U does.
+    assert_aligns_exactly(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bit_distance_cuts_a_shared_prefix_and_suffix_exactly(data):
+    alphabet = data.draw(st.sampled_from(("ab", "abcd", CLUSTERS)))
+    shared = st.lists(st.sampled_from(alphabet), max_size=10)
+    head, tail = data.draw(shared), data.draw(shared)
+    cores = [data.draw(st.lists(st.sampled_from((*alphabet, "z")), max_size=8))
+             for _ in range(2)]
+    a, b = (tuple(head + core + tail) for core in cores)
+    assert msd_module._bit_distance(a, b) == full_table_align(a, b)[1]
 
 
 @pytest.mark.parametrize("granularity", ["basic", "unit"])

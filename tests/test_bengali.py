@@ -245,6 +245,40 @@ class TestSegmentGraphemes:
         assert len(clusters) <= ab.to_output_stream(text).length
 
 
+class TestGraphemeClusters:
+    """segment_graphemes returns the clusters' texts, built into clusters on demand."""
+
+    @given(bengali_text, st.integers(-30, 30), st.none() | st.integers(-30, 30),
+           st.none() | st.integers(-3, 3).filter(bool))
+    def test_same_clusters_as_a_list(self, text, index, stop, step):
+        old = [ab.GraphemeCluster(t) for t, _ in _oracle_segment_graphemes(
+            ab.to_output_stream(text).text, ab.BENGALI_TABLE)]
+        new = ab.segment_graphemes(text)
+        assert len(new) == len(old)
+        assert list(new) == old
+        assert new == ab.segment_graphemes(text)
+        assert new.texts == tuple(c.text for c in old)
+        if -len(old) <= index < len(old):
+            assert new[index] == old[index]
+        else:
+            with pytest.raises(IndexError):
+                new[index]
+        assert new[index:stop:step] == old[index:stop:step]
+        assert list(reversed(new)) == old[::-1]
+
+    def test_a_stream_is_not_flattened_again(self):
+        # The control survives in a stream built by hand, so it is cut there.
+        stream = ab.OutputStream("ক\u200c্ষ")
+        assert ab.segment_graphemes(stream).texts == ("ক", "\u200c্", "ষ")
+        assert ab.segment_graphemes(stream.text).texts == ("ক্ষ",)
+
+    def test_equality_and_repr(self):
+        assert ab.segment_graphemes("কান্ড") != ab.segment_graphemes("কাণ্ড")
+        assert ab.segment_graphemes("বই") != ("ব", "ই")
+        assert repr(ab.segment_graphemes("বই")) == (
+            "GraphemeClusters([GraphemeCluster(text='ব'), GraphemeCluster(text='ই')])")
+
+
 class TestRecompose:
     @pytest.mark.parametrize("text", ["কান্ড", "ক্ষ", "বই", "ক্ষণিকের অতিথি", ""])
     def test_round_trip(self, text):
@@ -445,6 +479,16 @@ class TestFastPathsMatchOracle:
             return _oracle_segment_graphemes(
                 ab.to_output_stream(text, table).text, table)
         assert _outcome(fast) == _outcome(oracle)
+
+    @pytest.mark.parametrize("table", [ab.BENGALI_TABLE, _RECLASSIFIED],
+                             ids=["builtin", "reclassified"])
+    @given(text=_oracle_text)
+    @settings(max_examples=300)
+    def test_segment_graphemes_of_a_stream(self, table, text):
+        # A stream flattened under the table is cut as the text is.
+        def of_stream():
+            return ab.segment_graphemes(ab.to_output_stream(text, table), table)
+        assert _outcome(of_stream) == _outcome(ab.segment_graphemes, text, table)
 
     def test_records_outside_unicode_never_match(self):
         # Table files accept any hex number; no text holds such a codepoint.

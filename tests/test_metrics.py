@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abugida as ab
-from abugida import metrics
+from abugida import bengali, metrics
 from conftest import PRESENTED, TRANSCRIBED
 
 
@@ -343,6 +343,24 @@ class TestBothViewsPrepareOnce:
         assert proposed == ab.analyze_session(copy, sidebar_profile)
         assert len(calls) == 2
 
+    def test_the_glyph_view_cuts_the_prepared_streams(self, monkeypatch, sidebar_record,
+                                                      sidebar_profile):
+        flattened = []
+        for module in (bengali, metrics):
+            flatten = module.to_output_stream
+
+            def counted(text, *rest, flatten=flatten):
+                flattened.append(text)
+                return flatten(text, *rest)
+
+            monkeypatch.setattr(module, "to_output_stream", counted)
+        rec = dataclasses.replace(sidebar_record)
+        ab.analyze_session(rec, sidebar_profile)
+        assert {sidebar_record.presented, sidebar_record.transcribed} <= set(flattened)
+        flattened.clear()
+        ab.naive_metrics(rec, sidebar_profile)
+        assert flattened == []
+
     def test_another_profile_is_prepared_again(self, sidebar_profile):
         # A unit that the permissive replay accepts and the profile does not.
         rec = record("কখ", "কখ", [ev(0, "unit", "কখ"), ev(500, "mod")],
@@ -401,7 +419,7 @@ class TestAggregate:
                 self._metrics("t", 8.0, 3)]
         assert ab.aggregate(rows, into=columns) is None
         assert list(columns) == ["t", "u"]
-        assert [list(c) for c in columns["t"]] == [
+        assert [list(columns["t"][k::5]) for k in range(5)] == [
             [6.0, 8.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         assert ab.aggregate(columns) == ab.aggregate(rows)
 
